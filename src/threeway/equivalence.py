@@ -20,7 +20,10 @@ that reproduces the linguistic regions exactly:
 * negative empty:         beta' in [0, bnd_min),  alpha' in (bnd_max, pos_min];
 * positive empty:         beta' in [neg_max, bnd_min),  alpha' in (bnd_max, 1].
 
-Two or more empty regions is rejected as degenerate.  Everything is exact:
+Two or more empty regions is rejected as degenerate, and so is an expression
+that passes the grid scan but puts a higher attained ratio in a lower region
+(:class:`NonMonotoneExpressionError`, naming both blocks): no probabilistic
+pair can reproduce such regions.  Everything is exact:
 ratios, interval endpoints, and the open/closed flags all live in rational
 arithmetic, because the content of the characterization is precisely which
 endpoints are attained.
@@ -30,8 +33,16 @@ enumerates every decision-relevant candidate pair - region membership only
 depends on where a threshold sits relative to the finite ratio set, so the
 attained ratios, the midpoints between consecutive ones, and 0 and 1 hit
 every equivalence cell of threshold space - and verifies each pair by direct
-region comparison.  For an increasing expression the verdict table must match
-the interval characterization on 100% of candidates.
+region comparison.  It decides on the table of distinct ratios rather than
+on element sets: a block's degree, hence its wanted region, is a function of
+its ratio, and every ratio is itself a candidate, so a pair's probabilistic
+region for a ratio is just the ratio's candidate position compared with the
+pair's two positions.  That costs O(c^2) for c candidates (c <= 2k + 1 for k
+distinct ratios), one constant-time decision per pair, independent of the
+number of elements.  It stays independent of the intervals: it reads no
+bound, assumes no monotonicity, and compares every ratio's wanted region
+with its probabilistic one.  For an increasing expression the verdict table
+must match the interval characterization on 100% of candidates.
 """
 
 from __future__ import annotations
@@ -42,7 +53,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .expressions import Numeric, as_exact, is_increasing
-from .regions import Thresholds, TriPartition, linguistic_regions, probabilistic_regions
+from .regions import (
+    Thresholds,
+    TriPartition,
+    linguistic_regions,
+    probabilistic_regions,
+    region_of_degree,
+)
 from .spaces import ApproximationSpace, Concept
 
 
@@ -134,11 +151,19 @@ class ThresholdEquivalence:
     coupled: bool
 
     def admits(self, alpha_p: Numeric, beta_p: Numeric) -> bool:
-        if not beta_p < alpha_p:
-            return False
+        return beta_p < alpha_p and self.admits_alpha(alpha_p) and self.admits_beta(beta_p)
+
+    def admits_alpha(self, alpha_p: Numeric) -> bool:
+        """The alpha' test of :meth:`admits`, without the ``beta' < alpha'`` coupling."""
         if self.coupled:
-            return self.alpha_interval.lo <= beta_p and alpha_p <= self.alpha_interval.hi
-        return self.alpha_interval.contains(alpha_p) and self.beta_interval.contains(beta_p)
+            return alpha_p <= self.alpha_interval.hi
+        return self.alpha_interval.contains(alpha_p)
+
+    def admits_beta(self, beta_p: Numeric) -> bool:
+        """The beta' test of :meth:`admits`, without the ``beta' < alpha'`` coupling."""
+        if self.coupled:
+            return self.alpha_interval.lo <= beta_p
+        return self.beta_interval.contains(beta_p)
 
     def to_json_dict(self, sweep_agrees: Optional[bool] = None) -> dict:
         data = {
@@ -159,16 +184,48 @@ class ThresholdEquivalence:
         return f"alpha' in {self.alpha_interval}, beta' in {self.beta_interval}"
 
 
-def _bounds_from(tp: TriPartition, ratios: dict[int, Fraction], space: ApproximationSpace) -> RegionBounds:
-    per_region: dict[str, list[Fraction]] = {"pos": [], "neg": [], "bnd": []}
+def _ratios_by_region(
+    tp: TriPartition, ratios: dict[int, Fraction], space: ApproximationSpace
+) -> dict[str, list[tuple[Fraction, int]]]:
+    """(ratio, block index) pairs of every block, grouped by its region."""
+    per_region: dict[str, list[tuple[Fraction, int]]] = {"pos": [], "neg": [], "bnd": []}
     for idx, block in enumerate(space.blocks):
-        per_region[tp.region_of(block[0])].append(ratios[idx])
+        per_region[tp.region_of(block[0])].append((ratios[idx], idx))
+    return per_region
+
+
+def _bounds_from(per_region: dict[str, list[tuple[Fraction, int]]]) -> RegionBounds:
+    neg, bnd, pos = ([ratio for ratio, _ in per_region[name]] for name in ("neg", "bnd", "pos"))
     return RegionBounds(
-        neg_max=max(per_region["neg"], default=None),
-        bnd_min=min(per_region["bnd"], default=None),
-        bnd_max=max(per_region["bnd"], default=None),
-        pos_min=min(per_region["pos"], default=None),
+        neg_max=max(neg, default=None),
+        bnd_min=min(bnd, default=None),
+        bnd_max=max(bnd, default=None),
+        pos_min=min(pos, default=None),
     )
+
+
+def _check_interleaving(
+    per_region: dict[str, list[tuple[Fraction, int]]], space: ApproximationSpace, expr
+) -> None:
+    """Refuse unless the non-empty regions' ratios are ordered neg < bnd < pos.
+
+    The grid scan can pass an expression that still drops between two
+    attained ratios; then a higher ratio lands in a lower region, and no
+    probabilistic pair (which orders blocks by ratio) reproduces the regions.
+    """
+    present = [name for name in ("neg", "bnd", "pos") if per_region[name]]
+    for lower, upper in zip(present, present[1:]):
+        top_ratio, top_idx = max(per_region[lower])
+        bottom_ratio, bottom_idx = min(per_region[upper])
+        if top_ratio >= bottom_ratio:
+            raise NonMonotoneExpressionError(
+                f"expression {getattr(expr, 'name', expr)!r} is not increasing on the "
+                f"attained ratios: block {space.labels[top_idx]!r} (ratio "
+                f"{format_endpoint(top_ratio)}) is in the {lower!r} region but block "
+                f"{space.labels[bottom_idx]!r} (ratio {format_endpoint(bottom_ratio)}) "
+                f"is in the {upper!r} region; no probabilistic threshold pair "
+                "reproduces these regions"
+            )
 
 
 def region_bounds(
@@ -176,7 +233,7 @@ def region_bounds(
 ) -> RegionBounds:
     """The four extreme ratios of the linguistic tri-partition's regions."""
     tp = linguistic_regions(space, concept, expr, thresholds)
-    return _bounds_from(tp, space.block_ratios(concept), space)
+    return _bounds_from(_ratios_by_region(tp, space.block_ratios(concept), space))
 
 
 def check_bounds_ordering(bounds: RegionBounds, expr_increasing: bool) -> bool:
@@ -204,8 +261,10 @@ def equivalent_threshold_intervals(
     """Characterize all (alpha', beta') whose probabilistic regions equal the linguistic ones.
 
     Raises :class:`NonMonotoneExpressionError` when the expression fails the
-    grid monotonicity scan, and :class:`DegenerateRegionsError` when two or
-    more regions of the source tri-partition are empty.
+    grid monotonicity scan or, having passed it, puts a higher attained ratio
+    in a lower region (the error names both blocks), and
+    :class:`DegenerateRegionsError` when two or more regions of the source
+    tri-partition are empty.
     """
     if not is_increasing(expr, grid_step):
         raise NonMonotoneExpressionError(
@@ -220,7 +279,9 @@ def equivalent_threshold_intervals(
             f"only the {present!r} region is non-empty (it covers the whole universe); "
             "the threshold characterization needs at least two non-empty regions"
         )
-    bounds = _bounds_from(tp, space.block_ratios(concept), space)
+    per_region = _ratios_by_region(tp, space.block_ratios(concept), space)
+    _check_interleaving(per_region, space, expr)
+    bounds = _bounds_from(per_region)
 
     if not empty:
         return ThresholdEquivalence(
@@ -283,9 +344,16 @@ class SweepResult:
     entries: tuple[SweepEntry, ...]
 
     def agrees_with(self, equivalence: ThresholdEquivalence) -> bool:
-        """True when every verdict matches the interval characterization."""
+        """True when every verdict matches the interval characterization.
+
+        Equal to testing ``equivalence.admits`` per entry; each coordinate is
+        decided once per distinct value and looked up per entry.
+        """
+        alpha_ok = {a: equivalence.admits_alpha(a) for a in {e.alpha for e in self.entries}}
+        beta_ok = {b: equivalence.admits_beta(b) for b in {e.beta for e in self.entries}}
         return all(
-            entry.equivalent == equivalence.admits(entry.alpha, entry.beta)
+            entry.equivalent
+            == (entry.beta < entry.alpha and alpha_ok[entry.alpha] and beta_ok[entry.beta])
             for entry in self.entries
         )
 
@@ -315,22 +383,36 @@ def sweep_equivalence_oracle(
     expr,
     thresholds: Thresholds,
 ) -> SweepResult:
-    """Evaluate :func:`verify_equivalence` on every candidate pair (beta' < alpha').
+    """Decide every candidate pair (beta' < alpha') by direct region comparison.
 
-    Makes no monotonicity assumption; this is the independent route the
-    interval characterization is checked against.
+    Makes no monotonicity assumption and never consults the interval
+    characterization; this is the independent route the intervals are
+    checked against.  Each verdict equals :func:`verify_equivalence` at that
+    pair: blocks are non-empty, disjoint and cover the universe, so element
+    sets agree exactly when every distinct ratio lands in its wanted region.
     """
-    ratios = list(space.block_ratios(concept).values())
-    candidates = candidate_thresholds(ratios)
-    lingual = linguistic_regions(space, concept, expr, thresholds)
-    entries = []
-    for alpha_p in candidates:
-        for beta_p in candidates:
-            if beta_p >= alpha_p:
-                continue
-            probabilistic = probabilistic_regions(space, concept, Thresholds(alpha_p, beta_p))
-            entries.append(SweepEntry(alpha_p, beta_p, lingual.same_regions(probabilistic)))
-    return SweepResult(candidates, tuple(entries))
+    ratios = space.block_ratios(concept)
+    candidates = candidate_thresholds(list(ratios.values()))
+    position = {value: i for i, value in enumerate(candidates)}
+    wanted: dict[str, list[int]] = {"pos": [], "neg": [], "bnd": []}
+    for ratio in set(ratios.values()):
+        wanted[region_of_degree(expr.evaluate(ratio), thresholds)].append(position[ratio])
+    # At the pair (candidates[a], candidates[b]), b < a, the ratio at position
+    # i is probabilistically pos when i >= a, neg when i <= b and bnd between.
+    # So alpha' settles the wanted-pos ratios and the upper side of the
+    # wanted-bnd ones, and beta' the wanted-neg ratios and their lower side.
+    lowest_pos = min(wanted["pos"], default=len(candidates))
+    highest_neg = max(wanted["neg"], default=-1)
+    lowest_bnd = min(wanted["bnd"], default=len(candidates))
+    highest_bnd = max(wanted["bnd"], default=-1)
+    alpha_ok = [highest_bnd < a <= lowest_pos for a in range(len(candidates))]
+    beta_ok = [highest_neg <= b < lowest_bnd for b in range(len(candidates))]
+    entries = tuple(
+        SweepEntry(alpha_p, candidates[b], alpha_ok[a] and beta_ok[b])
+        for a, alpha_p in enumerate(candidates)
+        for b in range(a)
+    )
+    return SweepResult(candidates, entries)
 
 
 def delta_regions(space: ApproximationSpace, concept: Concept, cutoff: Numeric) -> TriPartition:

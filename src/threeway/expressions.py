@@ -22,6 +22,7 @@ windows when a block has more than ~88 elements.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -264,10 +265,22 @@ def is_increasing(expr, grid_step: Numeric = DEFAULT_GRID_STEP) -> bool:
     The grid is {0, h, 2h, ...} capped with 1, where h is the exact decimal
     reading of ``grid_step`` (0 < h <= 1/1000).  A sample may fall below its
     predecessor by at most ``MONOTONE_SLACK``.
+
+    Verdicts are memoized per (expression, h) in a bounded cache, since an
+    expression's evaluation is pure and the scan costs ~1,000 evaluations; an
+    unhashable expression is scanned on every call.
     """
     step = as_exact(grid_step, "grid_step")
     if not 0 < step <= Fraction(1, 1000):
         raise ValueError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
+    try:
+        hash(expr)
+    except TypeError:
+        return _scan_increasing(expr, step)
+    return _scan_increasing_cached(expr, step)
+
+
+def _scan_increasing(expr, step: Fraction) -> bool:
     prev = None
     x = Fraction(0)
     while True:
@@ -278,6 +291,9 @@ def is_increasing(expr, grid_step: Numeric = DEFAULT_GRID_STEP) -> bool:
         if x == 1:
             return True
         x = min(x + step, Fraction(1))
+
+
+_scan_increasing_cached = functools.lru_cache(maxsize=256)(_scan_increasing)
 
 
 def _seg(lo: str, lo_inc: bool, hi: str, hi_inc: bool, form: str, **kw) -> Segment:

@@ -92,27 +92,31 @@ class TriPartition:
         }
 
 
+def region_of_degree(degree: Numeric, thresholds: Thresholds) -> str:
+    """Where a degree lands: ``pos`` at or above alpha, ``neg`` at or below beta, else ``bnd``."""
+    if degree >= thresholds.alpha:
+        return "pos"
+    if degree <= thresholds.beta:
+        return "neg"
+    return "bnd"
+
+
 def _partition_by_degree(
     space: ApproximationSpace,
     block_degrees: Mapping[int, Numeric],
     thresholds: Thresholds,
 ) -> TriPartition:
-    pos: set[str] = set()
-    neg: set[str] = set()
-    bnd: set[str] = set()
+    members: dict[str, set[str]] = {name: set() for name in REGION_NAMES}
     degrees: dict[str, Numeric] = {}
     for idx, block in enumerate(space.blocks):
         degree = block_degrees[idx]
-        if degree >= thresholds.alpha:
-            target = pos
-        elif degree <= thresholds.beta:
-            target = neg
-        else:
-            target = bnd
-        target.update(block)
+        members[region_of_degree(degree, thresholds)].update(block)
         for element in block:
             degrees[element] = degree
-    return TriPartition(frozenset(pos), frozenset(neg), frozenset(bnd), degrees, space)
+    return TriPartition(
+        frozenset(members["pos"]), frozenset(members["neg"]), frozenset(members["bnd"]),
+        degrees, space,
+    )
 
 
 def probabilistic_regions(

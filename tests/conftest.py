@@ -8,7 +8,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from threeway import ApproximationSpace, Concept
+from threeway import (
+    ApproximationSpace,
+    Concept,
+    SweepResult,
+    Thresholds,
+    candidate_thresholds,
+    linguistic_regions,
+    probabilistic_regions,
+)
+from threeway.equivalence import SweepEntry
 
 settings.register_profile(
     "deterministic",
@@ -76,6 +85,44 @@ def thirty_instance_modified() -> tuple[ApproximationSpace, Concept]:
         label="X",
     )
     return space, concept
+
+
+def dip_instance() -> tuple[ApproximationSpace, Concept]:
+    """Three blocks straddling the 2.6e-4 dip of "not small" at 0.16.
+
+    Ratios 4/25 = 0.16, 321/2006 ~ 0.160020 and 0 (a singleton outside the
+    concept).  At alpha = 0.42647, beta = 0.1 the lower ratio is accepted
+    while the higher one is deferred, although the grid scan calls the
+    expression increasing.
+    """
+    low = [f"a{i}" for i in range(25)]
+    high = [f"b{i}" for i in range(2006)]
+    lone = ["c0"]
+    space = ApproximationSpace(low + high + lone, [low, high, lone], labels=["A", "B", "C"])
+    concept = Concept(frozenset(low[:4] + high[:321]), label="X")
+    return space, concept
+
+
+DIP_THRESHOLDS = Thresholds(Fraction("0.42647"), Fraction("0.1"))
+
+
+def reference_sweep(space: ApproximationSpace, concept: Concept, expr, thresholds) -> SweepResult:
+    """The element-level sweep: rebuild both tri-partitions per candidate pair.
+
+    Slow (every pair re-derives block ratios and element sets) but the most
+    direct reading of "the pair reproduces the regions"; the library sweep
+    must equal it entry for entry.
+    """
+    candidates = candidate_thresholds(list(space.block_ratios(concept).values()))
+    lingual = linguistic_regions(space, concept, expr, thresholds)
+    entries = []
+    for alpha_p in candidates:
+        for beta_p in candidates:
+            if beta_p >= alpha_p:
+                continue
+            probabilistic = probabilistic_regions(space, concept, Thresholds(alpha_p, beta_p))
+            entries.append(SweepEntry(alpha_p, beta_p, lingual.same_regions(probabilistic)))
+    return SweepResult(candidates, tuple(entries))
 
 
 @pytest.fixture

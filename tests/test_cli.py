@@ -11,9 +11,11 @@ from click.testing import CliRunner
 from threeway.cli import main
 from threeway.expressions import builtin, expression_to_json_dict
 
+from conftest import dip_instance
 from test_expressions import MEDIUM_HUMP, SMALL_LIKE
 
 SAMPLE_CSV = Path(__file__).resolve().parent.parent / "sample_data" / "communities.csv"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 BASE = [
     "--input", str(SAMPLE_CSV),
@@ -152,6 +154,22 @@ class TestEquivalenceCommand:
         assert result.exit_code == 0
         assert "alpha' in (1/5 ≈ 0.2, 2/5 ≈ 0.4]" in result.output
 
+    def test_dip_between_attained_ratios_exits_4(self, runner, tmp_path):
+        space, concept = dip_instance()
+        rows = ["id,group,x"] + [
+            f"{e},{label},{int(e in concept.members)}"
+            for label, block in zip(space.labels, space.blocks)
+            for e in block
+        ]
+        path = tmp_path / "dip.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        result = invoke(runner, "equivalence", "--input", str(path), "--key", "group",
+                        "--concept", "x", "--expr", "not_small",
+                        "--alpha", "0.42647", "--beta", "0.1")
+        assert result.exit_code == 4
+        assert "block 'B'" in result.stderr and "block 'A'" in result.stderr
+        assert "Traceback" not in result.output
+
     def test_missing_expression_file(self, runner):
         result = invoke(runner, "equivalence", *BASE, "--expr", "file:/no/such.json",
                         "--alpha", "0.8", "--beta", "0.2")
@@ -203,3 +221,17 @@ class TestSweepCommand:
         assert result.exit_code == 0
         assert "= alpha'=3/10" in result.output
         assert "x alpha'=1/2" in result.output
+
+
+class TestGoldenJson:
+    """JSON on the sample input must stay byte-identical to the committed fixtures."""
+
+    @pytest.mark.parametrize("command, fixture", [
+        ("sweep", "sweep_sample.json"),
+        ("equivalence", "equivalence_sample.json"),
+    ])
+    def test_sample_json_byte_identical(self, runner, command, fixture):
+        result = invoke(runner, command, *BASE, "--expr", "not_small",
+                        "--alpha", "0.8", "--beta", "0.2", "--format", "json")
+        assert result.exit_code == 0
+        assert result.stdout_bytes == (FIXTURES / fixture).read_bytes()

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from threeway import (
     ApproximationSpace,
@@ -17,6 +17,7 @@ from threeway import (
     NonMonotoneExpressionError,
     RegionBounds,
     StepExpr,
+    SweepResult,
     Thresholds,
     builtin,
     candidate_thresholds,
@@ -24,6 +25,7 @@ from threeway import (
     coincides_with_pawlak,
     delta_regions,
     equivalent_threshold_intervals,
+    is_increasing,
     linguistic_regions,
     pawlak_rough_set,
     probabilistic_regions,
@@ -33,12 +35,67 @@ from threeway import (
     verify_equivalence,
 )
 
-from conftest import block_union, community_instance
-from test_expressions import MEDIUM_HUMP
+from threeway.equivalence import SweepEntry
+
+from conftest import (
+    DIP_THRESHOLDS,
+    block_union,
+    community_instance,
+    dip_instance,
+    reference_sweep,
+    thirty_instance,
+    thirty_instance_modified,
+    twenty_instance,
+)
+from test_expressions import MEDIUM_HUMP, SMALL_LIKE
 from test_regions import spaces_with_concepts, threshold_pairs
 
 TH_COMMUNITY = Thresholds(Fraction("0.8"), Fraction("0.2"))
 TH_TWENTY = Thresholds(Fraction("0.7"), Fraction("0.3"))
+
+SWEEP_EXPRESSIONS = st.one_of(
+    st.sampled_from([
+        builtin("not_small"), builtin("very_big"), builtin("extremely_big"),
+        MEDIUM_HUMP, SMALL_LIKE, IdentityExpr(),
+    ]),
+    st.builds(StepExpr, st.fractions(min_value=0, max_value=1, max_denominator=8)),
+)
+
+
+@st.composite
+def shared_ratio_instances(draw):
+    """Up to 8 blocks; some repeat an earlier block's ratio at the same or double size."""
+    shapes: list[tuple[int, int]] = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        if shapes and draw(st.booleans()):
+            size, hits = draw(st.sampled_from(shapes))
+            scale = draw(st.integers(min_value=1, max_value=2))
+            shapes.append((size * scale, hits * scale))
+        else:
+            size = draw(st.integers(min_value=1, max_value=10))
+            shapes.append((size, draw(st.integers(min_value=0, max_value=size))))
+    blocks, members = [], []
+    for b, (size, hits) in enumerate(shapes):
+        block = [f"b{b}e{i}" for i in range(size)]
+        blocks.append(block)
+        members.extend(block[:hits])
+    elements = [e for block in blocks for e in block]
+    return ApproximationSpace(elements, blocks), Concept(frozenset(members))
+
+
+AGREEMENT_CASES = [
+    (community_instance, builtin("not_small"), TH_COMMUNITY, EmptinessCase.ALL_NONEMPTY),
+    (twenty_instance, StepExpr(Fraction(1, 2)), Thresholds(Fraction("0.7"), Fraction("0.2")),
+     EmptinessCase.BND_EMPTY),
+    (thirty_instance, builtin("very_big"), Thresholds(Fraction("0.8"), Fraction("0.4")),
+     EmptinessCase.NEG_EMPTY),
+    (thirty_instance_modified, builtin("very_big"), Thresholds(Fraction("0.7"), Fraction("0.2")),
+     EmptinessCase.POS_EMPTY),
+]
+
+
+def admits_every_entry(sweep: SweepResult, equivalence) -> bool:
+    return all(e.equivalent == equivalence.admits(e.alpha, e.beta) for e in sweep.entries)
 
 
 class TestRegionBounds:
@@ -184,6 +241,14 @@ class TestEquivalentIntervals:
         with pytest.raises(DegenerateRegionsError):
             equivalent_threshold_intervals(space, nothing, builtin("not_small"), TH_COMMUNITY)
 
+    def test_dip_between_attained_ratios_refused(self):
+        space, concept = dip_instance()
+        expr = builtin("not_small")
+        assert is_increasing(expr)
+        with pytest.raises(NonMonotoneExpressionError,
+                           match=r"block 'B' \(ratio 321/2006 .*block 'A' \(ratio 4/25"):
+            equivalent_threshold_intervals(space, concept, expr, DIP_THRESHOLDS)
+
     def test_admitted_pairs_respect_strict_order(self, community):
         space, sport = community
         result = equivalent_threshold_intervals(space, sport, builtin("not_small"), TH_COMMUNITY)
@@ -280,6 +345,67 @@ class TestSweep:
         space, sport = community
         sweep = sweep_equivalence_oracle(space, sport, MEDIUM_HUMP, TH_COMMUNITY)
         assert sweep.entries
+
+    @given(shared_ratio_instances(), SWEEP_EXPRESSIONS, threshold_pairs())
+    def test_matches_element_level_reference(self, space_concept, expr, thresholds):
+        space, concept = space_concept
+        sweep = sweep_equivalence_oracle(space, concept, expr, thresholds)
+        assert sweep == reference_sweep(space, concept, expr, thresholds)
+
+    @pytest.mark.parametrize("expr", [MEDIUM_HUMP, SMALL_LIKE, IdentityExpr(), builtin("not_small")])
+    def test_shared_ratios_match_reference(self, expr):
+        ids = [f"e{i}" for i in range(24)]
+        blocks = [ids[0:2], ids[2:6], ids[6:10], ids[10:20], ids[20:24]]
+        # ratios 1/2, 1/2, 1/4, 1/10, 3/4
+        concept = Concept(frozenset(ids[0:1] + ids[2:4] + ids[6:7] + ids[10:11] + ids[20:23]))
+        space = ApproximationSpace(ids, blocks)
+        th = Thresholds(Fraction("0.6"), Fraction("0.05"))
+        sweep = sweep_equivalence_oracle(space, concept, expr, th)
+        assert sweep == reference_sweep(space, concept, expr, th)
+
+    def test_dip_instance_admits_nothing(self):
+        space, concept = dip_instance()
+        sweep = sweep_equivalence_oracle(space, concept, builtin("not_small"), DIP_THRESHOLDS)
+        assert sweep.entries
+        assert sweep.admitted() == ()
+        assert sweep == reference_sweep(space, concept, builtin("not_small"), DIP_THRESHOLDS)
+
+
+class TestAgreesWith:
+    @pytest.mark.parametrize("make, expr, th, case", AGREEMENT_CASES,
+                             ids=[c.value for *_, c in AGREEMENT_CASES])
+    def test_equals_per_entry_admits(self, make, expr, th, case):
+        space, concept = make()
+        equivalence = equivalent_threshold_intervals(space, concept, expr, th)
+        assert equivalence.case is case
+        sweep = sweep_equivalence_oracle(space, concept, expr, th)
+        assert sweep.agrees_with(equivalence) is True
+        assert admits_every_entry(sweep, equivalence)
+        for flip in range(len(sweep.entries)):
+            entries = list(sweep.entries)
+            e = entries[flip]
+            entries[flip] = SweepEntry(e.alpha, e.beta, not e.equivalent)
+            tampered = SweepResult(sweep.candidates, tuple(entries))
+            assert tampered.agrees_with(equivalence) == admits_every_entry(tampered, equivalence)
+            assert not tampered.agrees_with(equivalence)
+
+    @pytest.mark.parametrize("make, expr, th, case", AGREEMENT_CASES,
+                             ids=[c.value for *_, c in AGREEMENT_CASES])
+    def test_hand_built_entries_with_beta_not_below_alpha(self, make, expr, th, case):
+        space, concept = make()
+        equivalence = equivalent_threshold_intervals(space, concept, expr, th)
+        inside = next(e for e in sweep_equivalence_oracle(space, concept, expr, th).entries
+                      if e.equivalent)
+        # the swapped pair lies inside both coordinate ranges in the coupled
+        # case, so only the beta' < alpha' test rejects it
+        for entries in (
+            (SweepEntry(inside.beta, inside.alpha, False),),
+            (SweepEntry(inside.beta, inside.alpha, True),),
+            (SweepEntry(inside.alpha, inside.alpha, False), inside),
+            (SweepEntry(inside.alpha, inside.alpha, True), inside),
+        ):
+            hand_built = SweepResult((), entries)
+            assert hand_built.agrees_with(equivalence) == admits_every_entry(hand_built, equivalence)
 
 
 class TestDeltaRegions:

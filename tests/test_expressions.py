@@ -15,14 +15,16 @@ from threeway import (
     IdentityExpr,
     Segment,
     StepExpr,
+    Thresholds,
     builtin,
+    equivalent_threshold_intervals,
     expression_from_json_dict,
     expression_to_json_dict,
     is_increasing,
     quantifier_for,
 )
 
-from conftest import ORACLES
+from conftest import ORACLES, community_instance
 
 TOL_PUBLISHED = 0.01      # published values are printed to two decimals
 TOL_FORMULA = 1e-12   # library float vs. exact-rational oracle
@@ -200,6 +202,53 @@ class TestMonotonicity:
             EvalExpr("bad_claim", builtin("not_small").segments, declared_monotone=False)
         ok = EvalExpr("fine", builtin("not_small").segments, declared_monotone=True)
         assert ok.declared_monotone is True
+
+    def test_false_declaration_rejected_on_cached_verdict(self):
+        # the second construction finds the first one's verdict in the cache
+        for _ in range(2):
+            with pytest.raises(ExpressionError, match="declared"):
+                EvalExpr("cached_claim", MEDIUM_HUMP.segments, declared_monotone=True)
+
+    def test_verdict_memoized_per_expression_and_step(self):
+        expr = CountingIdentity()
+        assert is_increasing(expr)
+        assert expr.calls == 1001
+        assert is_increasing(expr) and is_increasing(expr, 0.001)
+        assert expr.calls == 1001
+        assert is_increasing(expr, Fraction(1, 2000))
+        assert expr.calls == 1001 + 2001
+
+    def test_unhashable_expression_scanned_every_call(self):
+        expr = UnhashableIdentity()
+        assert is_increasing(expr) and is_increasing(expr)
+        assert expr.calls == 2 * 1001
+        space, sport = community_instance()
+        th = Thresholds(Fraction("0.8"), Fraction("0.2"))
+        assert equivalent_threshold_intervals(space, sport, expr, th) == (
+            equivalent_threshold_intervals(space, sport, IdentityExpr(), th)
+        )
+
+
+class CountingIdentity:
+    """Duck-typed identity expression (hashed by identity) that counts evaluations."""
+
+    name = "counting_identity"
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def evaluate(self, x):
+        self.calls += 1
+        return x
+
+
+class UnhashableIdentity(CountingIdentity):
+    """Defining ``__eq__`` without ``__hash__`` makes instances unhashable."""
+
+    name = "unhashable_identity"
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, UnhashableIdentity)
 
 
 class TestValidation:
