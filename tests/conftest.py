@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 
@@ -123,6 +124,23 @@ def reference_sweep(space: ApproximationSpace, concept: Concept, expr, threshold
             probabilistic = probabilistic_regions(space, concept, Thresholds(alpha_p, beta_p))
             entries.append(SweepEntry(alpha_p, beta_p, lingual.same_regions(probabilistic)))
     return SweepResult(candidates, tuple(entries))
+
+
+def write_seeded_table(path, seed: int = 7, rows: int = 10_000, blocks: int = 200) -> None:
+    """Write a CSV ``id,grp,x`` of ``rows`` elements in ``blocks`` groups.
+
+    Each group draws its own concept density uniform in [0, 0.4], so under
+    ``not_small`` at (0.8, 0.2) all three regions are non-empty; groups stay
+    well below the ~88 elements that can reach the built-ins' dips.  Only
+    ``Random.random`` is drawn, whose stream is stable across Python versions.
+    """
+    rng = random.Random(seed)
+    density = [0.4 * rng.random() for _ in range(blocks)]
+    lines = ["id,grp,x"]
+    for i in range(rows):
+        group = i if i < blocks else int(rng.random() * blocks)
+        lines.append(f"e{i},g{group},{int(rng.random() < density[group])}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from click.testing import CliRunner
 from threeway.cli import main
 from threeway.expressions import builtin, expression_to_json_dict
 
-from conftest import dip_instance
+from conftest import dip_instance, write_seeded_table
 from test_expressions import MEDIUM_HUMP, SMALL_LIKE
 
 SAMPLE_CSV = Path(__file__).resolve().parent.parent / "sample_data" / "communities.csv"
@@ -235,3 +236,50 @@ class TestGoldenJson:
                         "--alpha", "0.8", "--beta", "0.2", "--format", "json")
         assert result.exit_code == 0
         assert result.stdout_bytes == (FIXTURES / fixture).read_bytes()
+
+
+class TestGoldenOutput:
+    """The rest of the sample output, and JSON digests on a seeded 10k-row table.
+
+    Captured from the code before the block-table pipeline, like the JSON
+    fixtures above; a change to any of them is a change of behaviour.
+    """
+
+    @pytest.mark.parametrize("command, fmt, fixture", [
+        ("regions", "json", "regions_sample.json"),
+        ("regions", "text", "regions_sample.txt"),
+        ("bounds", "json", "bounds_sample.json"),
+        ("bounds", "text", "bounds_sample.txt"),
+        ("equivalence", "text", "equivalence_sample.txt"),
+        ("sweep", "text", "sweep_sample.txt"),
+    ])
+    def test_sample_byte_identical(self, runner, command, fmt, fixture):
+        result = invoke(runner, command, *BASE, "--expr", "not_small",
+                        "--alpha", "0.8", "--beta", "0.2", "--format", fmt)
+        assert result.exit_code == 0
+        assert result.stdout_bytes == (FIXTURES / fixture).read_bytes()
+        assert result.stderr_bytes == b""
+
+    def test_verify_mismatch_byte_identical(self, runner):
+        result = invoke(runner, "verify", *BASE, "--expr", "not_small",
+                        "--alpha", "0.8", "--beta", "0.2",
+                        "--prob-alpha", "0.5", "--prob-beta", "0.1")
+        assert result.exit_code == 1
+        assert result.stdout_bytes == (FIXTURES / "verify_mismatch_sample.txt").read_bytes()
+        assert result.stderr_bytes == b""
+
+    @pytest.mark.parametrize("command, digest", [
+        ("regions", "3aa9fdc210f0495add0c770be2e39a7ee5136cb8493ce8b1a68dc23281dd20b4"),
+        ("bounds", "b28c387f76688c2850769eab302d19ab4d10158b8e7f80b097613f265f44fd62"),
+        ("equivalence", "259cd2d8855432876885a499d3988051d4b46a0f5574099834d99b50ce7a7393"),
+        ("sweep", "9962a7b58a01295c9715884902038ed557fd91c9fb2afc400c0df66fa193dc85"),
+    ])
+    def test_seeded_table_digest(self, runner, tmp_path, command, digest):
+        table = tmp_path / "seeded.csv"
+        write_seeded_table(table)
+        result = invoke(runner, command, "--input", str(table), "--key", "grp",
+                        "--concept", "x", "--expr", "not_small",
+                        "--alpha", "0.8", "--beta", "0.2", "--format", "json")
+        assert result.exit_code == 0
+        assert result.stderr_bytes == b""
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
