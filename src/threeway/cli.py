@@ -18,10 +18,10 @@ empty regions).
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
 
 import click
 
@@ -37,9 +37,8 @@ from .expressions import (
     builtin,
     load_expression,
 )
-from .regions import Thresholds, ThresholdError, TriPartition, linguistic_regions
+from .regions import Thresholds, ThresholdError, TriPartition, linguistic_regions, probabilistic_regions
 from .spaces import (
-    ApproximationSpace,
     Concept,
     DataError,
     concept_from_column,
@@ -140,31 +139,15 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def run_guarded(fn):
-    try:
-        fn()
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except (ThresholdError, ExpressionError, DomainError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except DataError as exc:
-        _fail(EXIT_DATA, str(exc))
-    except eq.NonMonotoneExpressionError as exc:
-        _fail(EXIT_NON_MONOTONE, str(exc))
-    except eq.DegenerateRegionsError as exc:
-        _fail(EXIT_DEGENERATE, str(exc))
-    except OSError as exc:
-        _fail(EXIT_DATA, str(exc))
-
-
-input_option = click.option("--input", "input_path", required=True, help="CSV file; first column is the element id.")
-key_option = click.option("--key", required=True, help="comma-separated key column(s) defining the partition")
-concept_option = click.option("--concept", "concept_spec", required=True, help="boolean column name, or ids:a,b,c")
-expr_option = click.option("--expr", "expr_spec", required=True, help="not_small | very_big | extremely_big | delta:<t> | identity | file:<path>")
-alpha_option = click.option("--alpha", required=True, help="acceptance threshold in [0, 1]")
-beta_option = click.option("--beta", required=True, help="rejection threshold in [0, 1], below alpha")
+SHARED_OPTIONS = (
+    click.option("--input", "input_path", required=True, help="CSV file; first column is the element id."),
+    click.option("--key", required=True, help="comma-separated key column(s) defining the partition"),
+    click.option("--concept", "concept_spec", required=True, help="boolean column name, or ids:a,b,c"),
+    click.option("--expr", "expr_spec", required=True, help="not_small | very_big | extremely_big | delta:<t> | identity | file:<path>"),
+    click.option("--alpha", required=True, help="acceptance threshold in [0, 1]"),
+    click.option("--beta", required=True, help="rejection threshold in [0, 1], below alpha"),
+)
 format_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
-seed_option = click.option("--seed", type=int, default=None, help="seed for randomized commands (reserved)")
 
 
 @click.group()
@@ -172,164 +155,121 @@ def main() -> None:
     """Three-way decision regions, threshold equivalence, and explanations."""
 
 
-@main.command()
-@input_option
-@key_option
-@concept_option
-@expr_option
-@alpha_option
-@beta_option
-@format_option
-@seed_option
-def regions(input_path, key, concept_spec, expr_spec, alpha, beta, fmt, seed) -> None:
+def analysis_command(*extra_options):
+    """Register the decorated function as a subcommand with the shared options, then ``extra_options``.
+
+    The shared options are parsed in a fixed order (input, key, concept,
+    expression, alpha, beta), then the function is called as ``body(space,
+    concept, expr, thresholds, **extra)``.  Every library error raised on the
+    way maps to its exit code.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def command(input_path, key, concept_spec, expr_spec, alpha, beta, **extra) -> None:
+            try:
+                space, concept = load_inputs(input_path, key, concept_spec)
+                expr = parse_expression(expr_spec)
+                thresholds = Thresholds(parse_decimal(alpha, "--alpha"), parse_decimal(beta, "--beta"))
+                body(space, concept, expr, thresholds, **extra)
+            except (ConfigError, ThresholdError, ExpressionError, DomainError) as exc:
+                _fail(EXIT_CONFIG, str(exc))
+            except (DataError, OSError) as exc:
+                _fail(EXIT_DATA, str(exc))
+            except eq.NonMonotoneExpressionError as exc:
+                _fail(EXIT_NON_MONOTONE, str(exc))
+            except eq.DegenerateRegionsError as exc:
+                _fail(EXIT_DEGENERATE, str(exc))
+
+        for option in reversed(SHARED_OPTIONS + extra_options):
+            command = option(command)
+        return main.command()(command)
+
+    return register
+
+
+@analysis_command(format_option)
+def regions(space, concept, expr, thresholds, fmt) -> None:
     """Compute the three regions and explain each block's assignment."""
-
-    def run() -> None:
-        space, concept = load_inputs(input_path, key, concept_spec)
-        expr = parse_expression(expr_spec)
-        thresholds = Thresholds(parse_decimal(alpha, "--alpha"), parse_decimal(beta, "--beta"))
-        tp = linguistic_regions(space, concept, expr, thresholds)
-        warn_on_threshold_ties(tp, thresholds)
-        emit(xp.report(tp, expr, thresholds, concept), fmt)
-
-    run_guarded(run)
+    tp = linguistic_regions(space, concept, expr, thresholds)
+    warn_on_threshold_ties(tp, thresholds)
+    emit(xp.report(tp, expr, thresholds, concept), fmt)
 
 
-@main.command()
-@input_option
-@key_option
-@concept_option
-@expr_option
-@alpha_option
-@beta_option
-@format_option
-@seed_option
-def bounds(input_path, key, concept_spec, expr_spec, alpha, beta, fmt, seed) -> None:
+@analysis_command(format_option)
+def bounds(space, concept, expr, thresholds, fmt) -> None:
     """Print the extreme inclusion ratios attained inside each region."""
-
-    def run() -> None:
-        space, concept = load_inputs(input_path, key, concept_spec)
-        expr = parse_expression(expr_spec)
-        thresholds = Thresholds(parse_decimal(alpha, "--alpha"), parse_decimal(beta, "--beta"))
-        tp = linguistic_regions(space, concept, expr, thresholds)
-        bounds_ = eq.region_bounds(space, concept, expr, thresholds)
-        emit(xp.report(tp, expr, thresholds, concept, bounds=bounds_), fmt)
-
-    run_guarded(run)
+    tp = linguistic_regions(space, concept, expr, thresholds)
+    emit(xp.report(tp, expr, thresholds, concept, bounds=eq.bounds_of(tp)), fmt)
 
 
-@main.command()
-@input_option
-@key_option
-@concept_option
-@expr_option
-@alpha_option
-@beta_option
-@format_option
-@seed_option
-def equivalence(input_path, key, concept_spec, expr_spec, alpha, beta, fmt, seed) -> None:
+@analysis_command(format_option)
+def equivalence(space, concept, expr, thresholds, fmt) -> None:
     """Bounds, the equivalent probabilistic threshold intervals, and the sweep check."""
-
-    def run() -> None:
-        space, concept = load_inputs(input_path, key, concept_spec)
-        expr = parse_expression(expr_spec)
-        thresholds = Thresholds(parse_decimal(alpha, "--alpha"), parse_decimal(beta, "--beta"))
-        tp = linguistic_regions(space, concept, expr, thresholds)
-        bounds_ = eq.region_bounds(space, concept, expr, thresholds)
-        equivalence_ = eq.equivalent_threshold_intervals(space, concept, expr, thresholds)
-        sweep_ = eq.sweep_equivalence_oracle(space, concept, expr, thresholds)
-        emit(
-            xp.report(tp, expr, thresholds, concept, bounds=bounds_,
-                      equivalence=equivalence_, sweep=sweep_),
-            fmt,
-        )
-
-    run_guarded(run)
+    tp = linguistic_regions(space, concept, expr, thresholds)
+    bounds_ = eq.bounds_of(tp)
+    equivalence_ = eq.intervals_of(tp, expr)
+    sweep_ = eq.sweep_equivalence_oracle(space, concept, expr, thresholds)
+    emit(
+        xp.report(tp, expr, thresholds, concept, bounds=bounds_,
+                  equivalence=equivalence_, sweep=sweep_),
+        fmt,
+    )
 
 
-@main.command()
-@input_option
-@key_option
-@concept_option
-@expr_option
-@alpha_option
-@beta_option
-@click.option("--prob-alpha", required=True, help="probabilistic acceptance threshold to verify")
-@click.option("--prob-beta", required=True, help="probabilistic rejection threshold to verify")
-@seed_option
-def verify(input_path, key, concept_spec, expr_spec, alpha, beta, prob_alpha, prob_beta, seed) -> None:
+@analysis_command(
+    click.option("--prob-alpha", required=True, help="probabilistic acceptance threshold to verify"),
+    click.option("--prob-beta", required=True, help="probabilistic rejection threshold to verify"),
+)
+def verify(space, concept, expr, thresholds, prob_alpha, prob_beta) -> None:
     """Exit 0 when the probabilistic pair reproduces the linguistic regions, 1 otherwise."""
-
-    def run() -> None:
-        space, concept = load_inputs(input_path, key, concept_spec)
-        expr = parse_expression(expr_spec)
-        thresholds = Thresholds(parse_decimal(alpha, "--alpha"), parse_decimal(beta, "--beta"))
-        pa = parse_decimal(prob_alpha, "--prob-alpha")
-        pb = parse_decimal(prob_beta, "--prob-beta")
-        if not pb < pa:
-            raise ConfigError("--prob-beta must be strictly below --prob-alpha")
-        from .regions import probabilistic_regions
-
-        lingual = linguistic_regions(space, concept, expr, thresholds)
-        warn_on_threshold_ties(lingual, thresholds)
-        probabilistic = probabilistic_regions(space, concept, Thresholds(pa, pb))
-        if lingual.same_regions(probabilistic):
-            click.echo("tri-partitions coincide")
-            sys.exit(EXIT_OK)
-        for label, block in zip(space.labels, space.blocks):
-            e = block[0]
-            left, right = lingual.region_of(e), probabilistic.region_of(e)
-            if left != right:
-                click.echo(
-                    f"tri-partitions differ: block {label} is {left!r} "
-                    f"linguistically but {right!r} probabilistically"
-                )
-                break
-        sys.exit(EXIT_MISMATCH)
-
-    run_guarded(run)
+    pa = parse_decimal(prob_alpha, "--prob-alpha")
+    pb = parse_decimal(prob_beta, "--prob-beta")
+    if not pb < pa:
+        raise ConfigError("--prob-beta must be strictly below --prob-alpha")
+    lingual = linguistic_regions(space, concept, expr, thresholds)
+    warn_on_threshold_ties(lingual, thresholds)
+    probabilistic = probabilistic_regions(space, concept, Thresholds(pa, pb))
+    if lingual.same_regions(probabilistic):
+        click.echo("tri-partitions coincide")
+        sys.exit(EXIT_OK)
+    label, left, right = next(
+        (label, left, right)
+        for label, left, right in zip(space.labels, lingual.block_regions, probabilistic.block_regions)
+        if left != right
+    )
+    click.echo(
+        f"tri-partitions differ: block {label} is {left!r} "
+        f"linguistically but {right!r} probabilistically"
+    )
+    sys.exit(EXIT_MISMATCH)
 
 
-@main.command()
-@input_option
-@key_option
-@concept_option
-@expr_option
-@alpha_option
-@beta_option
-@format_option
-@seed_option
-def sweep(input_path, key, concept_spec, expr_spec, alpha, beta, fmt, seed) -> None:
+@analysis_command(format_option)
+def sweep(space, concept, expr, thresholds, fmt) -> None:
     """Brute-force verdict table over every decision-relevant candidate pair."""
-
-    def run() -> None:
-        space, concept = load_inputs(input_path, key, concept_spec)
-        expr = parse_expression(expr_spec)
-        thresholds = Thresholds(parse_decimal(alpha, "--alpha"), parse_decimal(beta, "--beta"))
-        result = eq.sweep_equivalence_oracle(space, concept, expr, thresholds)
-        if fmt == "json":
-            payload = {
-                "candidates": [float(c) for c in result.candidates],
-                "verdicts": [
-                    {
-                        "alpha": float(entry.alpha),
-                        "beta": float(entry.beta),
-                        "equivalent": entry.equivalent,
-                    }
-                    for entry in result.entries
-                ],
-            }
-            click.echo(json.dumps(payload, indent=2, sort_keys=True))
-            return
-        click.echo(f"{len(result.candidates)} candidate values, {len(result.entries)} pairs")
-        for entry in result.entries:
-            mark = "=" if entry.equivalent else "x"
-            click.echo(
-                f"  {mark} alpha'={eq.format_endpoint(entry.alpha)} "
-                f"beta'={eq.format_endpoint(entry.beta)}"
-            )
-
-    run_guarded(run)
+    result = eq.sweep_equivalence_oracle(space, concept, expr, thresholds)
+    if fmt == "json":
+        payload = {
+            "candidates": [float(c) for c in result.candidates],
+            "verdicts": [
+                {
+                    "alpha": float(entry.alpha),
+                    "beta": float(entry.beta),
+                    "equivalent": entry.equivalent,
+                }
+                for entry in result.entries
+            ],
+        }
+        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        return
+    click.echo(f"{len(result.candidates)} candidate values, {len(result.entries)} pairs")
+    for entry in result.entries:
+        mark = "=" if entry.equivalent else "x"
+        click.echo(
+            f"  {mark} alpha'={eq.format_endpoint(entry.alpha)} "
+            f"beta'={eq.format_endpoint(entry.beta)}"
+        )
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -28,6 +28,11 @@ ratios, interval endpoints, and the open/closed flags all live in rational
 arithmetic, because the content of the characterization is precisely which
 endpoints are attained.
 
+Bounds and intervals are read off a tri-partition's block table
+(:func:`bounds_of`, :func:`intervals_of`); :func:`region_bounds` and
+:func:`equivalent_threshold_intervals` build the linguistic tri-partition
+and delegate to them.
+
 An independent brute-force check is provided alongside: the sweep oracle
 enumerates every decision-relevant candidate pair - region membership only
 depends on where a threshold sits relative to the finite ratio set, so the
@@ -52,7 +57,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .expressions import Numeric, as_exact, is_increasing
+from .expressions import Numeric, StepExpr, is_increasing
 from .regions import (
     Thresholds,
     TriPartition,
@@ -184,13 +189,11 @@ class ThresholdEquivalence:
         return f"alpha' in {self.alpha_interval}, beta' in {self.beta_interval}"
 
 
-def _ratios_by_region(
-    tp: TriPartition, ratios: dict[int, Fraction], space: ApproximationSpace
-) -> dict[str, list[tuple[Fraction, int]]]:
+def _ratios_by_region(tp: TriPartition) -> dict[str, list[tuple[Fraction, int]]]:
     """(ratio, block index) pairs of every block, grouped by its region."""
     per_region: dict[str, list[tuple[Fraction, int]]] = {"pos": [], "neg": [], "bnd": []}
-    for idx, block in enumerate(space.blocks):
-        per_region[tp.region_of(block[0])].append((ratios[idx], idx))
+    for idx, (ratio, region) in enumerate(zip(tp.ratios, tp.block_regions)):
+        per_region[region].append((ratio, idx))
     return per_region
 
 
@@ -228,12 +231,16 @@ def _check_interleaving(
             )
 
 
+def bounds_of(tp: TriPartition) -> RegionBounds:
+    """The four extreme ratios of a tri-partition's regions, from its block table."""
+    return _bounds_from(_ratios_by_region(tp))
+
+
 def region_bounds(
     space: ApproximationSpace, concept: Concept, expr, thresholds: Thresholds
 ) -> RegionBounds:
     """The four extreme ratios of the linguistic tri-partition's regions."""
-    tp = linguistic_regions(space, concept, expr, thresholds)
-    return _bounds_from(_ratios_by_region(tp, space.block_ratios(concept), space))
+    return bounds_of(linguistic_regions(space, concept, expr, thresholds))
 
 
 def check_bounds_ordering(bounds: RegionBounds, expr_increasing: bool) -> bool:
@@ -258,20 +265,26 @@ def equivalent_threshold_intervals(
     thresholds: Thresholds,
     grid_step: Numeric = Fraction(1, 1000),
 ) -> ThresholdEquivalence:
-    """Characterize all (alpha', beta') whose probabilistic regions equal the linguistic ones.
+    """Characterize all (alpha', beta') whose probabilistic regions equal the linguistic ones."""
+    return intervals_of(linguistic_regions(space, concept, expr, thresholds), expr, grid_step)
+
+
+def intervals_of(
+    tp: TriPartition, expr, grid_step: Numeric = Fraction(1, 1000)
+) -> ThresholdEquivalence:
+    """The equivalent probabilistic threshold pairs of a tri-partition built through ``expr``.
 
     Raises :class:`NonMonotoneExpressionError` when the expression fails the
     grid monotonicity scan or, having passed it, puts a higher attained ratio
     in a lower region (the error names both blocks), and
-    :class:`DegenerateRegionsError` when two or more regions of the source
-    tri-partition are empty.
+    :class:`DegenerateRegionsError` when two or more regions of the
+    tri-partition are empty.  The scan runs first.
     """
     if not is_increasing(expr, grid_step):
         raise NonMonotoneExpressionError(
             f"expression {getattr(expr, 'name', expr)!r} is not increasing; "
             "the interval characterization only covers increasing expressions"
         )
-    tp = linguistic_regions(space, concept, expr, thresholds)
     empty = tp.empty_regions
     if len(empty) >= 2:
         present = next(name for name in ("pos", "neg", "bnd") if name not in empty)
@@ -279,8 +292,8 @@ def equivalent_threshold_intervals(
             f"only the {present!r} region is non-empty (it covers the whole universe); "
             "the threshold characterization needs at least two non-empty regions"
         )
-    per_region = _ratios_by_region(tp, space.block_ratios(concept), space)
-    _check_interleaving(per_region, space, expr)
+    per_region = _ratios_by_region(tp)
+    _check_interleaving(per_region, tp.space, expr)
     bounds = _bounds_from(per_region)
 
     if not empty:
@@ -418,23 +431,11 @@ def sweep_equivalence_oracle(
 def delta_regions(space: ApproximationSpace, concept: Concept, cutoff: Numeric) -> TriPartition:
     """Crisp split at ``cutoff``: blocks at or above it are accepted, the rest rejected.
 
-    The boundary region is empty and the outcome does not depend on any
-    (alpha, beta) pair; degrees are the crisp 0/1 values so the result is
-    identical to ``linguistic_regions`` with a step expression at ``cutoff``.
+    The boundary region is empty and no (alpha, beta) pair matters: this is
+    ``linguistic_regions`` with a step expression at ``cutoff`` and thresholds
+    (1, 0), so the degrees are the crisp 0/1 values.
     """
-    cut = as_exact(cutoff, "cutoff")
-    if not 0 <= cut <= 1:
-        raise ValueError(f"cutoff must lie in [0, 1], got {cutoff}")
-    ratios = space.block_ratios(concept)
-    pos: set[str] = set()
-    neg: set[str] = set()
-    degrees: dict[str, float] = {}
-    for idx, block in enumerate(space.blocks):
-        hit = ratios[idx] >= cut
-        (pos if hit else neg).update(block)
-        for element in block:
-            degrees[element] = 1.0 if hit else 0.0
-    return TriPartition(frozenset(pos), frozenset(neg), frozenset(), degrees, space)
+    return linguistic_regions(space, concept, StepExpr(cutoff), Thresholds(1, 0))
 
 
 def coincides_with_pawlak(bounds: RegionBounds) -> bool:

@@ -30,6 +30,8 @@ class Decision(Enum):
 
 _DECISION_BY_REGION = {"pos": Decision.ACCEPT, "neg": Decision.REJECT, "bnd": Decision.ABSTAIN}
 
+_REGION_BY_DECISION = {decision: region for region, decision in _DECISION_BY_REGION.items()}
+
 _REGION_WORD = {"pos": "positive", "neg": "negative", "bnd": "boundary"}
 
 
@@ -121,7 +123,7 @@ class AnalysisReport:
             lines.append(
                 f"block {section.label} ({len(section.elements)} elements): "
                 f"ratio {format_endpoint(section.ratio)}, degree {section.degree:.4g}, "
-                f"region {_REGION_WORD[_region_key(section.region)]}"
+                f"region {_REGION_WORD[_REGION_BY_DECISION[section.region]]}"
             )
             lines.append(f"  {section.sentence}")
         lines.append("")
@@ -158,7 +160,7 @@ class AnalysisReport:
                     "elements": list(s.elements),
                     "ratio": float(s.ratio),
                     "degree": s.degree,
-                    "region": _region_key(s.region),
+                    "region": _REGION_BY_DECISION[s.region],
                     "sentence": s.sentence,
                 }
                 for s in self.sections
@@ -180,13 +182,6 @@ class AnalysisReport:
         return data
 
 
-def _region_key(decision: Decision) -> str:
-    for key, value in _DECISION_BY_REGION.items():
-        if value is decision:
-            return key
-    raise AssertionError(decision)  # pragma: no cover
-
-
 def report(
     tp: TriPartition,
     expr,
@@ -196,28 +191,26 @@ def report(
     equivalence: Optional[ThresholdEquivalence] = None,
     sweep: Optional[SweepResult] = None,
 ) -> AnalysisReport:
-    """Assemble the block-level report for one analysis run."""
+    """Assemble the block-level report for one analysis run from ``tp``'s block table."""
     concept_label = concept.label
     quantifier = quantifier_for(expr)
     expr_name = getattr(expr, "name", str(expr))
 
     sections = []
-    for label, block in zip(tp.space.labels, tp.space.blocks):
-        representative = block[0]
-        region = tp.region_of(representative)
-        degree = float(tp.degrees[representative])
-        in_concept = sum(1 for e in block if e in concept.members)
-        ratio = Fraction(in_concept, len(block))
+    for label, block, ratio, region in zip(
+        tp.space.labels, tp.space.blocks, tp.ratios, tp.block_regions
+    ):
+        degree = float(tp.degrees[block[0]])
+        decision = _DECISION_BY_REGION[region]
         sections.append(
             BlockSection(
                 label=label,
                 elements=block,
                 ratio=ratio,
                 degree=degree,
-                region=_DECISION_BY_REGION[region],
+                region=decision,
                 sentence=_sentence(
-                    label, label, concept_label, quantifier, expr_name,
-                    degree, _DECISION_BY_REGION[region],
+                    label, label, concept_label, quantifier, expr_name, degree, decision,
                 ),
             )
         )

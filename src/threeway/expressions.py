@@ -390,13 +390,25 @@ def expression_to_json_dict(expr: EvalExpr) -> dict:
     }
 
 
+def _coefficient(raw: dict, name: str, default: float, index: int) -> float:
+    """A segment's ``a``/``d``/``c`` as a float; a boolean or non-numeric value is refused."""
+    value = raw.get(name, default)
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ExpressionError(f"segment {index} {name} must be a number, got {value!r}")
+
+
 def expression_from_json_dict(data: dict) -> EvalExpr:
     """Build and validate a piecewise expression from its JSON dictionary form.
 
     Schema: ``{"name": str, "segments": [{"lo": num, "lo_inclusive": bool,
     "hi": num, "hi_inclusive": bool, "form": "const"|"quad_up"|"quad_down",
     "a": num, "d": num, "c": num}]}``.  ``a``/``d`` may be omitted for
-    constant segments and ``c`` for quadratic ones.
+    constant segments and ``c`` for quadratic ones.  Anything else (a flag
+    that is not a JSON boolean, a non-numeric coefficient) is refused.
     """
     if not isinstance(data, dict):
         raise ExpressionError("expression JSON must be an object")
@@ -411,16 +423,21 @@ def expression_from_json_dict(data: dict) -> EvalExpr:
         if not isinstance(raw, dict):
             raise ExpressionError(f"segment {i} must be an object")
         try:
+            for flag in ("lo_inclusive", "hi_inclusive"):
+                if not isinstance(raw[flag], bool):
+                    raise ExpressionError(
+                        f"segment {i} {flag} must be true or false, got {raw[flag]!r}"
+                    )
             segments.append(
                 Segment(
                     lo=as_exact(raw["lo"], f"segment {i} lo"),
                     hi=as_exact(raw["hi"], f"segment {i} hi"),
-                    lo_inclusive=bool(raw["lo_inclusive"]),
-                    hi_inclusive=bool(raw["hi_inclusive"]),
+                    lo_inclusive=raw["lo_inclusive"],
+                    hi_inclusive=raw["hi_inclusive"],
                     form=raw["form"],
-                    a=float(raw.get("a", 0.0)),
-                    d=float(raw.get("d", 1.0)),
-                    c=float(raw.get("c", 0.0)),
+                    a=_coefficient(raw, "a", 0.0, i),
+                    d=_coefficient(raw, "d", 1.0, i),
+                    c=_coefficient(raw, "c", 0.0, i),
                 )
             )
         except KeyError as exc:

@@ -1,12 +1,12 @@
-"""Tri-partitions of a universe and the rough sets they induce.
+"""Tri-partitions of a universe, the block table behind them, and the rough sets they induce.
 
-Both constructors assign each element a degree and compare it against a
-threshold pair (alpha, beta) with beta < alpha: at or above alpha the element
-is accepted (positive region), at or below beta rejected (negative region),
-strictly between the two it is left undecided (boundary region).  The
-probabilistic constructor uses the inclusion ratio of the element's block
-directly; the linguistic constructor first passes that ratio through an
-evaluative expression.
+Each block's inclusion ratio goes through an expression to give its degree,
+and the degree decides the block's region against (alpha, beta), beta < alpha:
+``pos`` at or above alpha, ``neg`` at or below beta, ``bnd`` strictly between.
+:func:`linguistic_regions` builds that block table once and the
+:class:`TriPartition` keeps it, so bounds, intervals and reports read it
+instead of recounting, and the element sets are filled from it.  The
+probabilistic regions are the linguistic ones under the identity expression.
 
 Comparisons carry no epsilon.  Degrees are exact fractions on the
 probabilistic path and plain floats on the linguistic one; Python compares
@@ -19,9 +19,10 @@ via :attr:`TriPartition.empty_regions`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping
 
-from .expressions import Numeric
+from .expressions import IdentityExpr, Numeric
 from .spaces import ApproximationSpace, Concept, DataError
 
 REGION_NAMES = ("pos", "neg", "bnd")
@@ -48,11 +49,13 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class TriPartition:
-    """Three disjoint regions covering the universe, plus the degrees behind them.
+    """Three disjoint regions covering the universe, plus the block table behind them.
 
     ``degrees`` maps every element to the value that was compared against the
     thresholds (block-constant by construction).  The originating space rides
-    along so reports can name blocks.
+    along so reports can name blocks; ``ratios`` and ``block_regions`` hold
+    each block's inclusion ratio and region name, indexed like
+    ``space.blocks``.  Neither takes part in equality or the JSON form.
     """
 
     pos: frozenset[str]
@@ -60,6 +63,8 @@ class TriPartition:
     bnd: frozenset[str]
     degrees: Mapping[str, Numeric]
     space: ApproximationSpace = field(repr=False, compare=False)
+    ratios: tuple[Fraction, ...] = field(default=(), repr=False, compare=False)
+    block_regions: tuple[str, ...] = field(default=(), repr=False, compare=False)
 
     @property
     def empty_regions(self) -> tuple[str, ...]:
@@ -101,30 +106,11 @@ def region_of_degree(degree: Numeric, thresholds: Thresholds) -> str:
     return "bnd"
 
 
-def _partition_by_degree(
-    space: ApproximationSpace,
-    block_degrees: Mapping[int, Numeric],
-    thresholds: Thresholds,
-) -> TriPartition:
-    members: dict[str, set[str]] = {name: set() for name in REGION_NAMES}
-    degrees: dict[str, Numeric] = {}
-    for idx, block in enumerate(space.blocks):
-        degree = block_degrees[idx]
-        members[region_of_degree(degree, thresholds)].update(block)
-        for element in block:
-            degrees[element] = degree
-    return TriPartition(
-        frozenset(members["pos"]), frozenset(members["neg"]), frozenset(members["bnd"]),
-        degrees, space,
-    )
-
-
 def probabilistic_regions(
     space: ApproximationSpace, concept: Concept, thresholds: Thresholds
 ) -> TriPartition:
     """Regions from the raw inclusion ratios (degrees are exact fractions)."""
-    ratios = space.block_ratios(concept)
-    return _partition_by_degree(space, ratios, thresholds)
+    return linguistic_regions(space, concept, IdentityExpr(), thresholds)
 
 
 def linguistic_regions(
@@ -138,9 +124,21 @@ def linguistic_regions(
     ``expr`` is anything with an ``evaluate(x) -> degree`` method (a built-in
     or custom piecewise expression, a step expression, or the identity).
     """
-    ratios = space.block_ratios(concept)
-    degrees = {idx: expr.evaluate(ratio) for idx, ratio in ratios.items()}
-    return _partition_by_degree(space, degrees, thresholds)
+    ratios = tuple(space.block_ratios(concept).values())
+    members: dict[str, set[str]] = {name: set() for name in REGION_NAMES}
+    degrees: dict[str, Numeric] = {}
+    block_regions = []
+    for block, ratio in zip(space.blocks, ratios):
+        degree = expr.evaluate(ratio)
+        region = region_of_degree(degree, thresholds)
+        members[region].update(block)
+        block_regions.append(region)
+        for element in block:
+            degrees[element] = degree
+    return TriPartition(
+        frozenset(members["pos"]), frozenset(members["neg"]), frozenset(members["bnd"]),
+        degrees, space, ratios, tuple(block_regions),
+    )
 
 
 @dataclass(frozen=True)

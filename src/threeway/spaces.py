@@ -15,6 +15,7 @@ ordered by their lexicographically smallest element.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -70,8 +71,9 @@ class ApproximationSpace:
         elements = tuple(elements)
         if not elements:
             raise DataError("the universe must be non-empty")
-        if len(set(elements)) != len(elements):
-            dupes = sorted({e for e in elements if list(elements).count(e) > 1})
+        universe = frozenset(elements)
+        if len(universe) != len(elements):
+            dupes = sorted(e for e, count in Counter(elements).items() if count > 1)
             raise DataError(f"duplicate element id(s): {', '.join(dupes)}")
 
         raw_blocks = [tuple(sorted(b)) for b in blocks]
@@ -84,7 +86,6 @@ class ApproximationSpace:
         else:
             labels = [labels[i] for i in order]
 
-        universe = frozenset(elements)
         seen: dict[str, int] = {}
         for idx, block in enumerate(raw_blocks):
             if not block:
@@ -188,9 +189,6 @@ def from_attribute_table(
         elements.append(element)
         key = tuple(row[col] for col in key_columns)
         groups.setdefault(key, []).append(element)
-    if len(set(elements)) != len(elements):
-        dupes = sorted({e for e in elements if elements.count(e) > 1})
-        raise DataError(f"duplicate element id(s): {', '.join(dupes)}")
     keys = list(groups)
     return ApproximationSpace(
         elements,

@@ -107,6 +107,14 @@ def dip_instance() -> tuple[ApproximationSpace, Concept]:
 DIP_THRESHOLDS = Thresholds(Fraction("0.42647"), Fraction("0.1"))
 
 
+def recount_ratios(space: ApproximationSpace, concept: Concept) -> tuple[Fraction, ...]:
+    """Each block's inclusion ratio, counted element by element (the block-table reference)."""
+    return tuple(
+        Fraction(sum(1 for e in block if e in concept.members), len(block))
+        for block in space.blocks
+    )
+
+
 def reference_sweep(space: ApproximationSpace, concept: Concept, expr, thresholds) -> SweepResult:
     """The element-level sweep: rebuild both tri-partitions per candidate pair.
 

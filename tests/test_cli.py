@@ -9,6 +9,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from threeway import ApproximationSpace
+from threeway import cli as cli_module
+from threeway import equivalence as eq_module
+from threeway import regions as regions_module
 from threeway.cli import main
 from threeway.expressions import builtin, expression_to_json_dict
 
@@ -171,6 +175,17 @@ class TestEquivalenceCommand:
         assert "block 'B'" in result.stderr and "block 'A'" in result.stderr
         assert "Traceback" not in result.output
 
+    def test_non_numeric_coefficient_exits_2(self, runner, tmp_path):
+        data = expression_to_json_dict(builtin("not_small"))
+        data["segments"][1]["a"] = "wide"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        result = runner.invoke(main, ["equivalence", *BASE, "--expr", f"file:{path}",
+                                      "--alpha", "0.8", "--beta", "0.2"])
+        assert result.exit_code == 2
+        assert "segment 1 a must be a number" in result.stderr
+        assert "Traceback" not in result.output
+
     def test_missing_expression_file(self, runner):
         result = invoke(runner, "equivalence", *BASE, "--expr", "file:/no/such.json",
                         "--alpha", "0.8", "--beta", "0.2")
@@ -203,6 +218,61 @@ class TestVerifyCommand:
                         "--alpha", "0.8", "--beta", "0.2",
                         "--prob-alpha", "0.1", "--prob-beta", "0.3")
         assert result.exit_code == 2
+
+
+class TestStageCalls:
+    """Each command builds the block table once; only the sweep oracle recounts ratios."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"linguistic_regions": 0, "block_ratios": 0}
+        original_regions = regions_module.linguistic_regions
+        original_ratios = ApproximationSpace.block_ratios
+
+        def linguistic_regions(*args, **kwargs):
+            counts["linguistic_regions"] += 1
+            return original_regions(*args, **kwargs)
+
+        def block_ratios(self, concept):
+            counts["block_ratios"] += 1
+            return original_ratios(self, concept)
+
+        for module in (regions_module, eq_module, cli_module):
+            monkeypatch.setattr(module, "linguistic_regions", linguistic_regions)
+        monkeypatch.setattr(ApproximationSpace, "block_ratios", block_ratios)
+        return counts
+
+    @pytest.mark.parametrize("command, expected", [
+        ("equivalence", {"linguistic_regions": 1, "block_ratios": 2}),
+        ("bounds", {"linguistic_regions": 1, "block_ratios": 1}),
+        ("regions", {"linguistic_regions": 1, "block_ratios": 1}),
+    ])
+    def test_calls_per_command(self, runner, calls, command, expected):
+        result = invoke(runner, command, *BASE, "--expr", "not_small",
+                        "--alpha", "0.8", "--beta", "0.2")
+        assert result.exit_code == 0
+        assert calls == expected
+
+
+class TestSharedOptions:
+    def test_every_subcommand_is_registered(self, runner):
+        result = invoke(runner, "--help")
+        for command in ("regions", "bounds", "equivalence", "verify", "sweep"):
+            assert command in result.output
+
+    @pytest.mark.parametrize("command", ["regions", "bounds", "equivalence", "verify", "sweep"])
+    def test_seed_is_gone(self, runner, command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        assert "--seed" not in result.output
+        assert "--alpha" in result.output
+
+    def test_first_bad_flag_decides_the_exit_code(self, runner):
+        # a data error on --concept is reported before the bad --expr and --alpha
+        result = invoke(runner, "regions", *BASE[:-1], "hobbies",
+                        "--expr", "roughly_big", "--alpha", "x", "--beta", "0.2")
+        assert result.exit_code == 3
+        assert "hobbies" in result.stderr
 
 
 class TestSweepCommand:

@@ -334,6 +334,23 @@ class TestJson:
         with pytest.raises(ExpressionError):
             expression_from_json_dict({"name": "x", "segments": "oops"})
 
+    @pytest.mark.parametrize("field, value", [
+        ("a", "wide"), ("d", None), ("c", "x"), ("a", [0.5]), ("d", True),
+    ])
+    def test_non_numeric_coefficient_is_typed(self, field, value):
+        data = expression_to_json_dict(builtin("not_small"))
+        data["segments"][1][field] = value
+        with pytest.raises(ExpressionError, match=f"segment 1 {field} must be a number"):
+            expression_from_json_dict(data)
+
+    @pytest.mark.parametrize("flag", ["lo_inclusive", "hi_inclusive"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_inclusive_flags_must_be_booleans(self, flag, value):
+        data = expression_to_json_dict(builtin("not_small"))
+        data["segments"][2][flag] = value
+        with pytest.raises(ExpressionError, match=f"segment 2 {flag} must be true or false"):
+            expression_from_json_dict(data)
+
     def test_validation_applies_to_json_input(self):
         with pytest.raises(ExpressionError):
             expression_from_json_dict(

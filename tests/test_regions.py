@@ -12,14 +12,24 @@ from threeway import (
     IdentityExpr,
     Thresholds,
     ThresholdError,
+    TriPartition,
     builtin,
+    delta_regions,
     linguistic_regions,
     pawlak_rough_set,
     probabilistic_regions,
+    report,
     rough_set_from_tripartition,
 )
 
-from conftest import block_union, community_instance, labels_of, twenty_instance, users
+from conftest import (
+    block_union,
+    community_instance,
+    labels_of,
+    recount_ratios,
+    twenty_instance,
+    users,
+)
 from test_spaces import spaces_with_concepts
 
 
@@ -150,6 +160,40 @@ class TestLinguisticRegions:
         assert high.pos <= low.pos
         tight = linguistic_regions(space, concept, expr, Thresholds(Fraction(4, 5), Fraction(1, 10)))
         assert tight.neg <= high.neg
+
+
+class TestBlockTable:
+    """Every constructor's block table agrees with an element-level recount."""
+
+    @given(spaces_with_concepts(), threshold_pairs())
+    def test_table_matches_recount(self, space_concept, thresholds):
+        space, concept = space_concept
+        recount = recount_ratios(space, concept)
+        for tp in (
+            linguistic_regions(space, concept, builtin("not_small"), thresholds),
+            probabilistic_regions(space, concept, thresholds),
+            delta_regions(space, concept, Fraction(1, 2)),
+        ):
+            assert tp.ratios == recount
+            assert len(tp.block_regions) == len(space.blocks)
+            for block, region in zip(space.blocks, tp.block_regions):
+                assert region == tp.region_of(block[0])
+            sections = report(tp, builtin("not_small"), thresholds, concept).sections
+            assert tuple(section.ratio for section in sections) == recount
+
+    @given(spaces_with_concepts(), threshold_pairs())
+    def test_probabilistic_degrees_are_fractions(self, space_concept, thresholds):
+        space, concept = space_concept
+        tp = probabilistic_regions(space, concept, thresholds)
+        assert all(type(degree) is Fraction for degree in tp.degrees.values())
+
+    def test_table_ignored_by_equality(self, community):
+        space, sport = community
+        tp = linguistic_regions(space, sport, builtin("not_small"),
+                                Thresholds(Fraction("0.8"), Fraction("0.2")))
+        bare = TriPartition(tp.pos, tp.neg, tp.bnd, tp.degrees, space)
+        assert bare == tp
+        assert bare.to_json_dict() == tp.to_json_dict()
 
 
 class TestRoughSets:

@@ -92,6 +92,12 @@ class TestPartitionFromAttributes:
         with pytest.raises(DataError, match="duplicate"):
             from_attribute_table(rows, ["k"])
 
+    def test_one_duplicate_in_a_large_table(self):
+        rows = [{"id": f"e{i}", "k": str(i % 200)} for i in range(20_000)]
+        rows[-1] = {"id": "e17", "k": "3"}
+        with pytest.raises(DataError, match=r"^duplicate element id\(s\): e17$"):
+            from_attribute_table(rows, ["k"])
+
     def test_empty_table(self):
         with pytest.raises(DataError, match="empty"):
             from_attribute_table([], ["k"])
