@@ -67,9 +67,8 @@ def parse_expression(spec: str):
     if spec.startswith("delta:"):
         raw = spec.split(":", 1)[1]
         try:
-            cutoff = as_exact(raw, "delta cutoff")
-            return StepExpr(cutoff)
-        except (ExpressionError, ValueError) as exc:
+            return StepExpr(raw)
+        except ExpressionError as exc:
             raise ConfigError(f"bad delta cutoff {raw!r}: {exc}") from exc
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
@@ -87,9 +86,9 @@ def parse_expression(spec: str):
 
 def parse_decimal(raw: str, what: str) -> Fraction:
     try:
-        value = Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{what} must be a number, got {raw!r}") from exc
+        value = as_exact(raw, what)
+    except ExpressionError as exc:
+        raise ConfigError(str(exc)) from exc
     if not 0 <= value <= 1:
         raise ConfigError(f"{what} must lie in [0, 1], got {raw}")
     return value
@@ -117,9 +116,9 @@ def load_inputs(input_path: str, key: str, concept_spec: str):
 
 
 def warn_on_threshold_ties(tp: TriPartition, thresholds: Thresholds) -> None:
-    attained = set(tp.degrees.values())
+    attained = set(tp.block_degrees)
     for name, value in (("alpha", thresholds.alpha), ("beta", thresholds.beta)):
-        if any(value == degree for degree in attained):
+        if value in attained:
             click.echo(
                 f"warning: {name}={value} exactly equals an attained degree; "
                 "the assignment at that boundary is tie-sensitive",
@@ -230,7 +229,7 @@ def verify(space, concept, expr, thresholds, prob_alpha, prob_beta) -> None:
     lingual = linguistic_regions(space, concept, expr, thresholds)
     warn_on_threshold_ties(lingual, thresholds)
     probabilistic = probabilistic_regions(space, concept, Thresholds(pa, pb))
-    if lingual.same_regions(probabilistic):
+    if lingual.block_regions == probabilistic.block_regions:
         click.echo("tri-partitions coincide")
         sys.exit(EXIT_OK)
     label, left, right = next(

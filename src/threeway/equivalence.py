@@ -23,15 +23,15 @@ that reproduces the linguistic regions exactly:
 Two or more empty regions is rejected as degenerate, and so is an expression
 that passes the grid scan but puts a higher attained ratio in a lower region
 (:class:`NonMonotoneExpressionError`, naming both blocks): no probabilistic
-pair can reproduce such regions.  Everything is exact:
-ratios, interval endpoints, and the open/closed flags all live in rational
-arithmetic, because the content of the characterization is precisely which
-endpoints are attained.
+pair can reproduce such regions.  Everything is exact: ratios, interval
+endpoints, and the open/closed flags all live in rational arithmetic, because
+the content of the characterization is precisely which endpoints are attained.
 
-Bounds and intervals are read off a tri-partition's block table
-(:func:`bounds_of`, :func:`intervals_of`); :func:`region_bounds` and
-:func:`equivalent_threshold_intervals` build the linguistic tri-partition
-and delegate to them.
+The four cases are one rule, read off a tri-partition's block table in one
+pass (:func:`intervals_of`): an absent ``neg_max`` or ``pos_min`` gives way
+to 0 or 1, and an empty boundary to the other two bounds, coupling the pair.
+:func:`bounds_of` reads the same pass; :func:`region_bounds` and
+:func:`equivalent_threshold_intervals` build the tri-partition and delegate.
 
 An independent brute-force check is provided alongside: the sweep oracle
 enumerates every decision-relevant candidate pair - region membership only
@@ -189,37 +189,35 @@ class ThresholdEquivalence:
         return f"alpha' in {self.alpha_interval}, beta' in {self.beta_interval}"
 
 
-def _ratios_by_region(tp: TriPartition) -> dict[str, list[tuple[Fraction, int]]]:
-    """(ratio, block index) pairs of every block, grouped by its region."""
-    per_region: dict[str, list[tuple[Fraction, int]]] = {"pos": [], "neg": [], "bnd": []}
-    for idx, (ratio, region) in enumerate(zip(tp.ratios, tp.block_regions)):
-        per_region[region].append((ratio, idx))
-    return per_region
+_Extremes = dict[str, tuple[tuple[Fraction, int], tuple[Fraction, int]]]
 
 
-def _bounds_from(per_region: dict[str, list[tuple[Fraction, int]]]) -> RegionBounds:
-    neg, bnd, pos = ([ratio for ratio, _ in per_region[name]] for name in ("neg", "bnd", "pos"))
-    return RegionBounds(
-        neg_max=max(neg, default=None),
-        bnd_min=min(bnd, default=None),
-        bnd_max=max(bnd, default=None),
-        pos_min=min(pos, default=None),
-    )
+def _extremes(tp: TriPartition) -> _Extremes:
+    """Each non-empty region's lowest and highest ``(ratio, block index)``, in one pass."""
+    extremes: _Extremes = {}
+    for idx, region in enumerate(tp.block_regions):
+        entry = (tp.ratios[idx], idx)
+        low, high = extremes.get(region, (entry, entry))
+        extremes[region] = (min(low, entry), max(high, entry))
+    return extremes
 
 
-def _check_interleaving(
-    per_region: dict[str, list[tuple[Fraction, int]]], space: ApproximationSpace, expr
-) -> None:
+def _bounds_from(extremes: _Extremes) -> RegionBounds:
+    ends = (("neg", 1), ("bnd", 0), ("bnd", 1), ("pos", 0))  # 0 lowest, 1 highest
+    return RegionBounds(*(extremes[r][end][0] if r in extremes else None for r, end in ends))
+
+
+def _check_interleaving(extremes: _Extremes, space: ApproximationSpace, expr) -> None:
     """Refuse unless the non-empty regions' ratios are ordered neg < bnd < pos.
 
     The grid scan can pass an expression that still drops between two
     attained ratios; then a higher ratio lands in a lower region, and no
     probabilistic pair (which orders blocks by ratio) reproduces the regions.
     """
-    present = [name for name in ("neg", "bnd", "pos") if per_region[name]]
+    present = [name for name in ("neg", "bnd", "pos") if name in extremes]
     for lower, upper in zip(present, present[1:]):
-        top_ratio, top_idx = max(per_region[lower])
-        bottom_ratio, bottom_idx = min(per_region[upper])
+        top_ratio, top_idx = extremes[lower][1]
+        bottom_ratio, bottom_idx = extremes[upper][0]
         if top_ratio >= bottom_ratio:
             raise NonMonotoneExpressionError(
                 f"expression {getattr(expr, 'name', expr)!r} is not increasing on the "
@@ -233,7 +231,7 @@ def _check_interleaving(
 
 def bounds_of(tp: TriPartition) -> RegionBounds:
     """The four extreme ratios of a tri-partition's regions, from its block table."""
-    return _bounds_from(_ratios_by_region(tp))
+    return _bounds_from(_extremes(tp))
 
 
 def region_bounds(
@@ -292,38 +290,20 @@ def intervals_of(
             f"only the {present!r} region is non-empty (it covers the whole universe); "
             "the threshold characterization needs at least two non-empty regions"
         )
-    per_region = _ratios_by_region(tp)
-    _check_interleaving(per_region, tp.space, expr)
-    bounds = _bounds_from(per_region)
-
-    if not empty:
-        return ThresholdEquivalence(
-            case=EmptinessCase.ALL_NONEMPTY,
-            alpha_interval=Interval(bounds.bnd_max, bounds.pos_min, True, False),
-            beta_interval=Interval(bounds.neg_max, bounds.bnd_min, False, True),
-            coupled=False,
-        )
-    if empty == ("bnd",):
-        # beta' and alpha' interact: neg_max <= beta' < alpha' <= pos_min.
-        # The stored intervals are the projections of that wedge.
-        return ThresholdEquivalence(
-            case=EmptinessCase.BND_EMPTY,
-            alpha_interval=Interval(bounds.neg_max, bounds.pos_min, True, False),
-            beta_interval=Interval(bounds.neg_max, bounds.pos_min, False, True),
-            coupled=True,
-        )
-    if empty == ("neg",):
-        return ThresholdEquivalence(
-            case=EmptinessCase.NEG_EMPTY,
-            alpha_interval=Interval(bounds.bnd_max, bounds.pos_min, True, False),
-            beta_interval=Interval(Fraction(0), bounds.bnd_min, False, True),
-            coupled=False,
-        )
+    extremes = _extremes(tp)
+    _check_interleaving(extremes, tp.space, expr)
+    neg_max, bnd_min, bnd_max, pos_min = _bounds_from(extremes).as_tuple()
+    # One rule for every case: an empty neg or pos region leaves 0 or 1 as
+    # the outer end.  An empty boundary couples the pair into the wedge
+    # neg_max <= beta' < alpha' <= pos_min, stored as its two projections.
+    bnd_empty = bnd_min is None
     return ThresholdEquivalence(
-        case=EmptinessCase.POS_EMPTY,
-        alpha_interval=Interval(bounds.bnd_max, Fraction(1), True, False),
-        beta_interval=Interval(bounds.neg_max, bounds.bnd_min, False, True),
-        coupled=False,
+        case=EmptinessCase(f"{empty[0]}_empty" if empty else "all_nonempty"),
+        alpha_interval=Interval(neg_max if bnd_empty else bnd_max,
+                                Fraction(1) if pos_min is None else pos_min, True, False),
+        beta_interval=Interval(Fraction(0) if neg_max is None else neg_max,
+                               pos_min if bnd_empty else bnd_min, False, True),
+        coupled=bnd_empty,
     )
 
 
@@ -339,7 +319,8 @@ def verify_equivalence(
     probe = Thresholds(alpha_p, beta_p)
     lingual = linguistic_regions(space, concept, expr, thresholds)
     probabilistic = probabilistic_regions(space, concept, probe)
-    return lingual.same_regions(probabilistic)
+    # Both tables index the same blocks, and the blocks cover the universe.
+    return lingual.block_regions == probabilistic.block_regions
 
 
 @dataclass(frozen=True)

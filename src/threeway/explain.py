@@ -17,7 +17,7 @@ from typing import Optional
 from .equivalence import RegionBounds, SweepResult, ThresholdEquivalence, format_endpoint
 from .expressions import quantifier_for
 from .regions import Thresholds, TriPartition
-from .spaces import Concept, DataError
+from .spaces import Concept
 
 
 class Decision(Enum):
@@ -65,11 +65,10 @@ def _sentence(
 
 def explain_element(tp: TriPartition, expr, element: str, concept_label: str) -> Explanation:
     """Explain one element's assignment in the given tri-partition."""
-    region = tp.region_of(element)
-    if element not in tp.degrees:
-        raise DataError(f"unknown element {element!r}")
-    degree = float(tp.degrees[element])
-    block = tp.space.label_of(element)
+    index = tp.space.block_index(element)
+    region = tp.block_regions[index]
+    degree = float(tp.block_degrees[index])
+    block = tp.space.labels[index]
     quantifier = quantifier_for(expr)
     sentence = _sentence(
         element, block, concept_label, quantifier,
@@ -197,10 +196,10 @@ def report(
     expr_name = getattr(expr, "name", str(expr))
 
     sections = []
-    for label, block, ratio, region in zip(
-        tp.space.labels, tp.space.blocks, tp.ratios, tp.block_regions
+    for label, block, ratio, degree, region in zip(
+        tp.space.labels, tp.space.blocks, tp.ratios, tp.block_degrees, tp.block_regions
     ):
-        degree = float(tp.degrees[block[0]])
+        degree = float(degree)
         decision = _DECISION_BY_REGION[region]
         sections.append(
             BlockSection(
@@ -216,11 +215,11 @@ def report(
         )
 
     notes = []
-    if not tp.bnd:
+    if "bnd" in tp.empty_regions:
         notes.append("no abstentions: the boundary region is empty")
-    if not tp.pos:
+    if "pos" in tp.empty_regions:
         notes.append("positive region empty")
-    if not tp.neg:
+    if "neg" in tp.empty_regions:
         notes.append("negative region empty")
     if equivalence is not None:
         notes.append(f"equivalence case: {equivalence.case.value}")

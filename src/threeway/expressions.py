@@ -43,6 +43,11 @@ MONOTONE_SLACK = 1e-9
 
 _RANGE_SLOP = 1e-9
 
+#: Size bounds on the literals :func:`as_exact` reads (``1e1000000`` alone takes
+#: 0.3 s to build exactly); every float's ``repr`` fits (24 characters, e-324).
+MAX_LITERAL_CHARS = 100
+MAX_EXPONENT_DIGITS = 3
+
 BUILTIN_NAMES = ("not_small", "very_big", "extremely_big")
 
 SEGMENT_FORMS = ("const", "quad_up", "quad_down")
@@ -62,17 +67,25 @@ def as_exact(value: Numeric | str, what: str = "value") -> Fraction:
     Strings and floats are read as the decimal they display as
     (``as_exact("0.4") == as_exact(0.4) == Fraction(2, 5)``), which is what a
     human writing ``0.4`` means; ints and Fractions pass through unchanged.
+    Literals past :data:`MAX_LITERAL_CHARS` or :data:`MAX_EXPONENT_DIGITS` are refused.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float) or isinstance(value, str):
+        text = str(value)
+        exponent = text.lower().partition("e")[2].lstrip("+-0")
+        if len(text) > MAX_LITERAL_CHARS or len(exponent) > MAX_EXPONENT_DIGITS:
+            raise ExpressionError(
+                f"{what} must be a number of at most {MAX_LITERAL_CHARS} characters "
+                f"with an exponent of at most {MAX_EXPONENT_DIGITS} digits"
+            )
         try:
-            return Fraction(str(value))
-        except ValueError as exc:
-            raise ExpressionError(f"cannot read {what} {value!r} as a number") from exc
-    raise ExpressionError(f"cannot read {what} {value!r} as a number")
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ExpressionError(f"{what} must be a number, got {value!r}") from exc
+    raise ExpressionError(f"{what} must be a number, got {value!r}")
 
 
 def _check_unit_interval(x: Numeric, what: str = "argument") -> None:
@@ -453,6 +466,6 @@ def load_expression(path: str) -> EvalExpr:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad syntax, or an integer past the digit limit
             raise ExpressionError(f"{path} is not valid JSON: {exc}") from exc
     return expression_from_json_dict(data)

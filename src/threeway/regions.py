@@ -3,9 +3,9 @@
 Each block's inclusion ratio goes through an expression to give its degree,
 and the degree decides the block's region against (alpha, beta), beta < alpha:
 ``pos`` at or above alpha, ``neg`` at or below beta, ``bnd`` strictly between.
-:func:`linguistic_regions` builds that block table once and the
-:class:`TriPartition` keeps it, so bounds, intervals and reports read it
-instead of recounting, and the element sets are filled from it.  The
+:func:`linguistic_regions` builds that block table once; it is all a
+:class:`TriPartition` holds.  Bounds, intervals and reports read it, and the
+element sets and degrees are views derived from it on first use.  The
 probabilistic regions are the linguistic ones under the identity expression.
 
 Comparisons carry no epsilon.  Degrees are exact fractions on the
@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .expressions import IdentityExpr, Numeric
-from .spaces import ApproximationSpace, Concept, DataError
+from .spaces import ApproximationSpace, Concept
 
 REGION_NAMES = ("pos", "neg", "bnd")
 
@@ -47,40 +48,49 @@ class Thresholds:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriPartition:
-    """Three disjoint regions covering the universe, plus the block table behind them.
+    """Three disjoint regions covering the universe, as the block table they come from.
 
-    ``degrees`` maps every element to the value that was compared against the
-    thresholds (block-constant by construction).  The originating space rides
-    along so reports can name blocks; ``ratios`` and ``block_regions`` hold
-    each block's inclusion ratio and region name, indexed like
-    ``space.blocks``.  Neither takes part in equality or the JSON form.
+    ``ratios``, ``block_degrees`` and ``block_regions`` hold each block's
+    inclusion ratio, the degree compared against the thresholds, and the
+    region it landed in, indexed like ``space.blocks``.  The element views
+    ``pos``, ``neg``, ``bnd`` and ``degrees`` are derived from the table on
+    first use.  Equality compares the regions and the element degrees; the
+    space takes no part in it or in the JSON form.
     """
 
-    pos: frozenset[str]
-    neg: frozenset[str]
-    bnd: frozenset[str]
-    degrees: Mapping[str, Numeric]
-    space: ApproximationSpace = field(repr=False, compare=False)
-    ratios: tuple[Fraction, ...] = field(default=(), repr=False, compare=False)
-    block_regions: tuple[str, ...] = field(default=(), repr=False, compare=False)
+    space: ApproximationSpace = field(repr=False)
+    ratios: tuple[Fraction, ...]
+    block_degrees: tuple[Numeric, ...]
+    block_regions: tuple[str, ...]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TriPartition):
+            return NotImplemented
+        return self.same_regions(other) and self.degrees == other.degrees
+
+    def _members(self, region: str) -> frozenset[str]:
+        table = zip(self.space.blocks, self.block_regions)
+        return frozenset().union(*(block for block, name in table if name == region))
+
+    pos = cached_property(lambda self: self._members("pos"))
+    neg = cached_property(lambda self: self._members("neg"))
+    bnd = cached_property(lambda self: self._members("bnd"))
+
+    @cached_property
+    def degrees(self) -> Mapping[str, Numeric]:
+        """Every element's degree (block-constant by construction)."""
+        table = zip(self.space.blocks, self.block_degrees)
+        return {element: degree for block, degree in table for element in block}
 
     @property
     def empty_regions(self) -> tuple[str, ...]:
         """Names of the regions that came out empty, in pos/neg/bnd order."""
-        return tuple(
-            name for name in REGION_NAMES if not getattr(self, name)
-        )
+        return tuple(name for name in REGION_NAMES if name not in self.block_regions)
 
     def region_of(self, element: str) -> str:
-        if element in self.pos:
-            return "pos"
-        if element in self.neg:
-            return "neg"
-        if element in self.bnd:
-            return "bnd"
-        raise DataError(f"unknown element {element!r}")
+        return self.block_regions[self.space.block_index(element)]
 
     def same_regions(self, other: "TriPartition") -> bool:
         """Region-for-region equality, ignoring degrees."""
@@ -125,20 +135,8 @@ def linguistic_regions(
     or custom piecewise expression, a step expression, or the identity).
     """
     ratios = tuple(space.block_ratios(concept).values())
-    members: dict[str, set[str]] = {name: set() for name in REGION_NAMES}
-    degrees: dict[str, Numeric] = {}
-    block_regions = []
-    for block, ratio in zip(space.blocks, ratios):
-        degree = expr.evaluate(ratio)
-        region = region_of_degree(degree, thresholds)
-        members[region].update(block)
-        block_regions.append(region)
-        for element in block:
-            degrees[element] = degree
-    return TriPartition(
-        frozenset(members["pos"]), frozenset(members["neg"]), frozenset(members["bnd"]),
-        degrees, space, ratios, tuple(block_regions),
-    )
+    degrees = tuple(expr.evaluate(ratio) for ratio in ratios)
+    return TriPartition(space, ratios, degrees, tuple(region_of_degree(d, thresholds) for d in degrees))
 
 
 @dataclass(frozen=True)

@@ -222,12 +222,21 @@ def concept_from_column(rows: Sequence[Row], column: str, id_column: Optional[st
 
 
 def load_table(path: str) -> list[dict[str, str]]:
-    """Read a CSV table: header row required, first column is the element id."""
+    """Read a CSV table: header row required, first column is the element id.
+
+    Blank lines are skipped; a row whose field count differs from the header's is refused.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path} has no header row")
-        rows = [dict(row) for row in reader]
+        rows = []
+        for fields in filter(None, reader):
+            if len(fields) != len(header):
+                raise DataError(f"{path} line {reader.line_num} has {len(fields)} fields; "
+                                f"the header has {len(header)}")
+            rows.append(dict(zip(header, fields)))
     if not rows:
         raise DataError(f"{path} has no data rows")
     return rows

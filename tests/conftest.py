@@ -115,6 +115,27 @@ def recount_ratios(space: ApproximationSpace, concept: Concept) -> tuple[Fractio
     )
 
 
+def recount_regions(space: ApproximationSpace, concept: Concept, expr, thresholds) -> tuple[dict, dict]:
+    """Element-level reference for a tri-partition's views.
+
+    Every element's own inclusion ratio goes through ``expr``, and its degree
+    is compared with the thresholds directly.  Returns the element-to-degree
+    map and the pos/neg/bnd element sets.
+    """
+    degrees: dict = {}
+    regions: dict[str, set[str]] = {"pos": set(), "neg": set(), "bnd": set()}
+    for element in space.elements:
+        degree = expr.evaluate(space.inclusion_ratio(concept, element))
+        degrees[element] = degree
+        if degree >= thresholds.alpha:
+            regions["pos"].add(element)
+        elif degree <= thresholds.beta:
+            regions["neg"].add(element)
+        else:
+            regions["bnd"].add(element)
+    return degrees, regions
+
+
 def reference_sweep(space: ApproximationSpace, concept: Concept, expr, thresholds) -> SweepResult:
     """The element-level sweep: rebuild both tri-partitions per candidate pair.
 

@@ -108,6 +108,31 @@ class TestRegionsCommand:
         assert "ghost" in result.stderr
 
 
+    @pytest.mark.parametrize("row, fields", [("u2,C1", 2), ("u2,C1,1,extra", 4)])
+    def test_row_with_wrong_field_count_exits_3(self, runner, tmp_path, row, fields):
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"user,community,sport\nu1,C1,0\n{row}\n", encoding="utf-8")
+        result = runner.invoke(main, ["regions", "--input", str(path), "--key", "community",
+                                      "--concept", "sport", "--expr", "not_small",
+                                      "--alpha", "0.8", "--beta", "0.2"])
+        assert result.exit_code == 3
+        assert f"line 3 has {fields} fields; the header has 3" in result.stderr
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "1e999999999"), ("--beta", "1e-1000000"), ("--alpha", "0." + "4" * 200),
+        ("--expr", "delta:1e1000000"), ("--expr", "delta:1/0"),
+    ])
+    def test_oversized_or_bad_number_exits_2(self, runner, flag, value):
+        options = {"--expr": "not_small", "--alpha": "0.8", "--beta": "0.2", flag: value}
+        result = runner.invoke(main, ["regions", *BASE, *(
+            word for option in options.items() for word in option
+        )])
+        assert result.exit_code == 2
+        assert "must be a number" in result.stderr
+        assert "Traceback" not in result.output
+
+
 class TestBoundsCommand:
     def test_bounds_in_output(self, runner):
         result = invoke(runner, "bounds", *BASE, "--expr", "not_small",

@@ -5,9 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from threeway import (
+    BUILTIN_NAMES,
     ApproximationSpace,
     Concept,
     DegenerateRegionsError,
@@ -74,6 +75,34 @@ def shared_ratio_instances(draw):
         else:
             size = draw(st.integers(min_value=1, max_value=10))
             shapes.append((size, draw(st.integers(min_value=0, max_value=size))))
+    blocks, members = [], []
+    for b, (size, hits) in enumerate(shapes):
+        block = [f"b{b}e{i}" for i in range(size)]
+        blocks.append(block)
+        members.extend(block[:hits])
+    elements = [e for block in blocks for e in block]
+    return ApproximationSpace(elements, blocks), Concept(frozenset(members))
+
+
+@st.composite
+def large_block_instances(draw):
+    """Blocks of 100 to 3,000 elements, past the ~88 that the built-ins' dips need.
+
+    Up to three such blocks, plus one singleton outside the concept and one
+    inside it, so that no built-in leaves two regions empty.  Every other
+    draw adds a pair straddling the 2.6e-4 dip of "not small" at 0.16: a
+    block at exactly 4/25 and one at (4q + 1)/(25q + 6) = 0.16 + 1/(25(25q + 6)),
+    which for q >= 80 lies inside the dip window and under ``DIP_THRESHOLDS``
+    lands in the boundary while 4/25 is accepted.
+    """
+    shapes = [(1, 0), (1, 1)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        size = draw(st.integers(min_value=100, max_value=3000))
+        shapes.append((size, draw(st.integers(min_value=0, max_value=size))))
+    if draw(st.booleans()):
+        j = draw(st.integers(min_value=4, max_value=40))
+        q = draw(st.integers(min_value=80, max_value=119))
+        shapes += [(25 * j, 4 * j), (25 * q + 6, 4 * q + 1)]
     blocks, members = [], []
     for b, (size, hits) in enumerate(shapes):
         block = [f"b{b}e{i}" for i in range(size)]
@@ -369,6 +398,21 @@ class TestSweep:
         assert sweep.entries
         assert sweep.admitted() == ()
         assert sweep == reference_sweep(space, concept, builtin("not_small"), DIP_THRESHOLDS)
+
+
+    @settings(max_examples=50)
+    @given(
+        large_block_instances(),
+        st.sampled_from([builtin(name) for name in BUILTIN_NAMES]),
+        st.one_of(st.just(DIP_THRESHOLDS), threshold_pairs()),
+    )
+    def test_large_blocks_refuse_or_agree(self, space_concept, expr, thresholds):
+        space, concept = space_concept
+        try:
+            equivalence = equivalent_threshold_intervals(space, concept, expr, thresholds)
+        except NonMonotoneExpressionError:
+            return
+        assert sweep_equivalence_oracle(space, concept, expr, thresholds).agrees_with(equivalence)
 
 
 class TestAgreesWith:

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from threeway.expressions import MAX_LITERAL_CHARS, as_exact
+
 from threeway import (
     BUILTIN_NAMES,
     DomainError,
@@ -21,6 +23,7 @@ from threeway import (
     expression_from_json_dict,
     expression_to_json_dict,
     is_increasing,
+    load_expression,
     quantifier_for,
 )
 
@@ -343,6 +346,13 @@ class TestJson:
         with pytest.raises(ExpressionError, match=f"segment 1 {field} must be a number"):
             expression_from_json_dict(data)
 
+    @pytest.mark.parametrize("value", ["1e1000000", "1e-1000", "0." + "1" * 200, "1/0"])
+    def test_oversized_or_bad_bound_is_typed(self, value):
+        data = expression_to_json_dict(builtin("not_small"))
+        data["segments"][1]["lo"] = value
+        with pytest.raises(ExpressionError, match="segment 1 lo must be a number"):
+            expression_from_json_dict(data)
+
     @pytest.mark.parametrize("flag", ["lo_inclusive", "hi_inclusive"])
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_inclusive_flags_must_be_booleans(self, flag, value):
@@ -350,6 +360,13 @@ class TestJson:
         data["segments"][2][flag] = value
         with pytest.raises(ExpressionError, match=f"segment 2 {flag} must be true or false"):
             expression_from_json_dict(data)
+
+    def test_huge_json_integer_is_typed(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"name": "x", "segments": [{"lo": 0, "lo_inclusive": true, "hi": 1'
+                        + "0" * 5000 + ', "hi_inclusive": true, "form": "const", "c": 0}]}')
+        with pytest.raises(ExpressionError):
+            load_expression(str(path))
 
     def test_validation_applies_to_json_input(self):
         with pytest.raises(ExpressionError):
@@ -364,6 +381,29 @@ class TestJson:
                     ],
                 }
             )
+
+
+class TestAsExact:
+    @pytest.mark.parametrize("value, exact", [
+        ("0.4", Fraction(2, 5)), (0.4, Fraction(2, 5)), ("1e-999", Fraction(1, 10**999)),
+        ("1E+0007", Fraction(10**7)), (5e-324, Fraction(5, 10**324)), ("3/7", Fraction(3, 7)),
+    ])
+    def test_reads_decimals_exactly(self, value, exact):
+        assert as_exact(value) == exact
+
+    @pytest.mark.parametrize("value, words", [
+        ("1e1000000", "exponent of at most 3 digits"),
+        ("1E-1000", "exponent of at most 3 digits"),
+        ("1" * (MAX_LITERAL_CHARS + 1), f"at most {MAX_LITERAL_CHARS} characters"),
+        ("1/0", "must be a number"),
+        ("wide", "must be a number"),
+    ])
+    def test_refuses_oversized_and_bad_literals(self, value, words):
+        with pytest.raises(ExpressionError, match=words) as caught:
+            as_exact(value, "cutoff")
+        assert str(caught.value).startswith("cutoff must be a number")
+        with pytest.raises(ExpressionError, match=words):
+            StepExpr(value)
 
 
 class TestQuantifiers:

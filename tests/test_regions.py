@@ -10,11 +10,13 @@ from hypothesis import given, strategies as st
 from threeway import (
     Concept,
     IdentityExpr,
+    StepExpr,
     Thresholds,
     ThresholdError,
     TriPartition,
     builtin,
     delta_regions,
+    explain_element,
     linguistic_regions,
     pawlak_rough_set,
     probabilistic_regions,
@@ -22,11 +24,14 @@ from threeway import (
     rough_set_from_tripartition,
 )
 
+from threeway.equivalence import bounds_of, intervals_of
+
 from conftest import (
     block_union,
     community_instance,
     labels_of,
     recount_ratios,
+    recount_regions,
     twenty_instance,
     users,
 )
@@ -169,17 +174,28 @@ class TestBlockTable:
     def test_table_matches_recount(self, space_concept, thresholds):
         space, concept = space_concept
         recount = recount_ratios(space, concept)
-        for tp in (
-            linguistic_regions(space, concept, builtin("not_small"), thresholds),
-            probabilistic_regions(space, concept, thresholds),
-            delta_regions(space, concept, Fraction(1, 2)),
+        for tp, expr, used in (
+            (linguistic_regions(space, concept, builtin("not_small"), thresholds),
+             builtin("not_small"), thresholds),
+            (probabilistic_regions(space, concept, thresholds), IdentityExpr(), thresholds),
+            (delta_regions(space, concept, Fraction(1, 2)),
+             StepExpr(Fraction(1, 2)), Thresholds(1, 0)),
         ):
             assert tp.ratios == recount
-            assert len(tp.block_regions) == len(space.blocks)
-            for block, region in zip(space.blocks, tp.block_regions):
-                assert region == tp.region_of(block[0])
+            assert len(tp.block_degrees) == len(tp.block_regions) == len(space.blocks)
             sections = report(tp, builtin("not_small"), thresholds, concept).sections
             assert tuple(section.ratio for section in sections) == recount
+            # the derived element views against an element-by-element recount
+            degrees, regions = recount_regions(space, concept, expr, used)
+            assert tp.degrees == degrees
+            assert (tp.pos, tp.neg, tp.bnd) == tuple(
+                frozenset(regions[name]) for name in ("pos", "neg", "bnd")
+            )
+            assert tp.empty_regions == tuple(
+                name for name in ("pos", "neg", "bnd") if not regions[name]
+            )
+            for name, members in regions.items():
+                assert all(tp.region_of(element) == name for element in members)
 
     @given(spaces_with_concepts(), threshold_pairs())
     def test_probabilistic_degrees_are_fractions(self, space_concept, thresholds):
@@ -187,13 +203,28 @@ class TestBlockTable:
         tp = probabilistic_regions(space, concept, thresholds)
         assert all(type(degree) is Fraction for degree in tp.degrees.values())
 
-    def test_table_ignored_by_equality(self, community):
+    def test_table_ignored_by_equality(self):
+        # the same tri-partition on two equal but distinct spaces
+        (space, sport), (twin, twin_sport) = community_instance(), community_instance()
+        assert space is not twin
+        th = Thresholds(Fraction("0.8"), Fraction("0.2"))
+        tp = linguistic_regions(space, sport, builtin("not_small"), th)
+        other = linguistic_regions(twin, twin_sport, builtin("not_small"), th)
+        assert other == tp
+        assert other.to_json_dict() == tp.to_json_dict()
+        # a tri-partition is built from its block table, not from element sets
+        with pytest.raises(TypeError):
+            TriPartition(tp.pos, tp.neg, tp.bnd, tp.degrees, space)
+
+    def test_block_level_consumers_leave_the_views_uncomputed(self, community):
         space, sport = community
-        tp = linguistic_regions(space, sport, builtin("not_small"),
-                                Thresholds(Fraction("0.8"), Fraction("0.2")))
-        bare = TriPartition(tp.pos, tp.neg, tp.bnd, tp.degrees, space)
-        assert bare == tp
-        assert bare.to_json_dict() == tp.to_json_dict()
+        expr = builtin("not_small")
+        tp = linguistic_regions(space, sport, expr, Thresholds(Fraction("0.8"), Fraction("0.2")))
+        bounds_of(tp)
+        intervals_of(tp, expr)
+        explain_element(tp, expr, "u26", "sport")
+        for view in ("pos", "neg", "bnd", "degrees"):
+            assert view not in tp.__dict__
 
 
 class TestRoughSets:

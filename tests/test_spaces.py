@@ -241,6 +241,20 @@ class TestCsv:
         with pytest.raises(DataError, match="no data rows"):
             load_table(str(path))
 
+    @pytest.mark.parametrize("row, fields", [("u2,C1", 2), ("u2,C1,1,extra", 4)])
+    def test_row_with_wrong_field_count(self, tmp_path, row, fields):
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"user,community,sport\nu1,C1,0\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"line 3 has {fields} fields; the header has 3"):
+            load_table(str(path))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("user,community\n\nu1,C1\n\nu2,C1\n", encoding="utf-8")
+        assert load_table(str(path)) == [
+            {"user": "u1", "community": "C1"}, {"user": "u2", "community": "C1"},
+        ]
+
     def test_boolean_parsing(self):
         rows = [
             {"id": "a", "flag": "Yes"},
