@@ -74,8 +74,8 @@ def parse_expression(spec: str):
         path = spec.split(":", 1)[1]
         try:
             return load_expression(path)
-        except FileNotFoundError:
-            raise ConfigError(f"expression file not found: {path}") from None
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ConfigError(f"cannot read expression file {path}: {exc.strerror}") from None
         except ExpressionError as exc:
             raise ConfigError(f"bad expression file {path}: {exc}") from exc
     raise ConfigError(

@@ -33,21 +33,15 @@ to 0 or 1, and an empty boundary to the other two bounds, coupling the pair.
 :func:`bounds_of` reads the same pass; :func:`region_bounds` and
 :func:`equivalent_threshold_intervals` build the tri-partition and delegate.
 
-An independent brute-force check is provided alongside: the sweep oracle
-enumerates every decision-relevant candidate pair - region membership only
-depends on where a threshold sits relative to the finite ratio set, so the
-attained ratios, the midpoints between consecutive ones, and 0 and 1 hit
-every equivalence cell of threshold space - and verifies each pair by direct
-region comparison.  It decides on the table of distinct ratios rather than
-on element sets: a block's degree, hence its wanted region, is a function of
-its ratio, and every ratio is itself a candidate, so a pair's probabilistic
-region for a ratio is just the ratio's candidate position compared with the
-pair's two positions.  That costs O(c^2) for c candidates (c <= 2k + 1 for k
-distinct ratios), one constant-time decision per pair, independent of the
-number of elements.  It stays independent of the intervals: it reads no
-bound, assumes no monotonicity, and compares every ratio's wanted region
-with its probabilistic one.  For an increasing expression the verdict table
-must match the interval characterization on 100% of candidates.
+An independent brute-force check is provided alongside.  Region membership
+only depends on where a threshold sits relative to the finite ratio set, so
+the attained ratios, the midpoints between consecutive ones, and 0 and 1 hit
+every equivalence cell of threshold space.  The sweep oracle decides every
+pair of these c <= 2k + 1 candidates (k distinct ratios) on the ratio table,
+never on element sets, as two verdict vectors: one over alpha', one over
+beta'.  The pair table (one verdict per beta' < alpha') is a view derived on
+first read.  It reads no bound and assumes no monotonicity; for an
+increasing expression its table must match the intervals on every pair.
 """
 
 from __future__ import annotations
@@ -55,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .expressions import Numeric, StepExpr, is_increasing
@@ -332,23 +327,33 @@ class SweepEntry:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Brute-force verdicts over every decision-relevant candidate pair."""
+    """The verdict at (candidates[a], candidates[b]), b < a, is ``alpha_ok[a] and beta_ok[b]``."""
 
     candidates: tuple[Fraction, ...]
-    entries: tuple[SweepEntry, ...]
+    alpha_ok: tuple[bool, ...]
+    beta_ok: tuple[bool, ...]
+
+    @cached_property
+    def entries(self) -> tuple[SweepEntry, ...]:
+        """The verdict of every pair, alpha'-major, built on first read."""
+        return tuple(
+            SweepEntry(alpha_p, self.candidates[b], ok and self.beta_ok[b])
+            for a, (alpha_p, ok) in enumerate(zip(self.candidates, self.alpha_ok))
+            for b in range(a)
+        )
 
     def agrees_with(self, equivalence: ThresholdEquivalence) -> bool:
         """True when every verdict matches the interval characterization.
 
-        Equal to testing ``equivalence.admits`` per entry; each coordinate is
-        decided once per distinct value and looked up per entry.
+        Equal to testing ``equivalence.admits`` per entry: sorted candidates make
+        b < a imply beta' < alpha', so row a is ``beta_ok[:a]`` or all false.
         """
-        alpha_ok = {a: equivalence.admits_alpha(a) for a in {e.alpha for e in self.entries}}
-        beta_ok = {b: equivalence.admits_beta(b) for b in {e.beta for e in self.entries}}
+        alpha_eq = tuple(map(equivalence.admits_alpha, self.candidates))
+        beta_eq = tuple(map(equivalence.admits_beta, self.candidates))
+        all_false = (False,) * len(self.candidates)
         return all(
-            entry.equivalent
-            == (entry.beta < entry.alpha and alpha_ok[entry.alpha] and beta_ok[entry.beta])
-            for entry in self.entries
+            (self.beta_ok if ok else all_false)[:a] == (beta_eq if eq_ok else all_false)[:a]
+            for a, (ok, eq_ok) in enumerate(zip(self.alpha_ok, alpha_eq))
         )
 
     def admitted(self) -> tuple[SweepEntry, ...]:
@@ -379,18 +384,18 @@ def sweep_equivalence_oracle(
 ) -> SweepResult:
     """Decide every candidate pair (beta' < alpha') by direct region comparison.
 
-    Makes no monotonicity assumption and never consults the interval
-    characterization; this is the independent route the intervals are
-    checked against.  Each verdict equals :func:`verify_equivalence` at that
+    It reads no bound and assumes no monotonicity, so the intervals can be
+    checked against it.  Each verdict equals :func:`verify_equivalence` at that
     pair: blocks are non-empty, disjoint and cover the universe, so element
     sets agree exactly when every distinct ratio lands in its wanted region.
     """
     ratios = space.block_ratios(concept)
     candidates = candidate_thresholds(list(ratios.values()))
-    position = {value: i for i, value in enumerate(candidates)}
+    attained = set(ratios.values())
     wanted: dict[str, list[int]] = {"pos": [], "neg": [], "bnd": []}
-    for ratio in set(ratios.values()):
-        wanted[region_of_degree(expr.evaluate(ratio), thresholds)].append(position[ratio])
+    for i, value in enumerate(candidates):
+        if value in attained:
+            wanted[region_of_degree(expr.evaluate(value), thresholds)].append(i)
     # At the pair (candidates[a], candidates[b]), b < a, the ratio at position
     # i is probabilistically pos when i >= a, neg when i <= b and bnd between.
     # So alpha' settles the wanted-pos ratios and the upper side of the
@@ -399,14 +404,9 @@ def sweep_equivalence_oracle(
     highest_neg = max(wanted["neg"], default=-1)
     lowest_bnd = min(wanted["bnd"], default=len(candidates))
     highest_bnd = max(wanted["bnd"], default=-1)
-    alpha_ok = [highest_bnd < a <= lowest_pos for a in range(len(candidates))]
-    beta_ok = [highest_neg <= b < lowest_bnd for b in range(len(candidates))]
-    entries = tuple(
-        SweepEntry(alpha_p, candidates[b], alpha_ok[a] and beta_ok[b])
-        for a, alpha_p in enumerate(candidates)
-        for b in range(a)
-    )
-    return SweepResult(candidates, entries)
+    return SweepResult(candidates,
+                       tuple(highest_bnd < a <= lowest_pos for a in range(len(candidates))),
+                       tuple(highest_neg <= b < lowest_bnd for b in range(len(candidates))))
 
 
 def delta_regions(space: ApproximationSpace, concept: Concept, cutoff: Numeric) -> TriPartition:

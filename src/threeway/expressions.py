@@ -287,10 +287,9 @@ def is_increasing(expr, grid_step: Numeric = DEFAULT_GRID_STEP) -> bool:
     if not 0 < step <= Fraction(1, 1000):
         raise ValueError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
     try:
-        hash(expr)
-    except TypeError:
+        return _scan_increasing_cached(expr, step)
+    except TypeError:  # an unhashable expression cannot key the cache
         return _scan_increasing(expr, step)
-    return _scan_increasing_cached(expr, step)
 
 
 def _scan_increasing(expr, step: Fraction) -> bool:

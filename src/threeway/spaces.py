@@ -224,19 +224,24 @@ def concept_from_column(rows: Sequence[Row], column: str, id_column: Optional[st
 def load_table(path: str) -> list[dict[str, str]]:
     """Read a CSV table: header row required, first column is the element id.
 
-    Blank lines are skipped; a row whose field count differs from the header's is refused.
+    Blank lines are skipped; a row whose field count differs from the header's is
+    refused, and so is a file that is not UTF-8.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path} has no header row")
-        rows = []
-        for fields in filter(None, reader):
-            if len(fields) != len(header):
-                raise DataError(f"{path} line {reader.line_num} has {len(fields)} fields; "
-                                f"the header has {len(header)}")
-            rows.append(dict(zip(header, fields)))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path} has no header row")
+            rows = []
+            for fields in filter(None, reader):
+                if len(fields) != len(header):
+                    raise DataError(f"{path} line {reader.line_num} has {len(fields)} fields; "
+                                    f"the header has {len(header)}")
+                rows.append(dict(zip(header, fields)))
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise DataError(f"{path} is not UTF-8 text: it holds the byte 0x{bad:02x}") from None
     if not rows:
         raise DataError(f"{path} has no data rows")
     return rows

@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, settings
 from threeway import (
     ApproximationSpace,
     Concept,
-    SweepResult,
     Thresholds,
     candidate_thresholds,
     linguistic_regions,
@@ -136,12 +135,13 @@ def recount_regions(space: ApproximationSpace, concept: Concept, expr, threshold
     return degrees, regions
 
 
-def reference_sweep(space: ApproximationSpace, concept: Concept, expr, thresholds) -> SweepResult:
+def reference_sweep(space: ApproximationSpace, concept: Concept, expr, thresholds) -> tuple:
     """The element-level sweep: rebuild both tri-partitions per candidate pair.
 
     Slow (every pair re-derives block ratios and element sets) but the most
-    direct reading of "the pair reproduces the regions"; the library sweep
-    must equal it entry for entry.
+    direct reading of "the pair reproduces the regions".  Returns the
+    candidates and one entry per pair; the library sweep's ``candidates`` and
+    ``entries`` must equal them entry for entry.
     """
     candidates = candidate_thresholds(list(space.block_ratios(concept).values()))
     lingual = linguistic_regions(space, concept, expr, thresholds)
@@ -152,7 +152,7 @@ def reference_sweep(space: ApproximationSpace, concept: Concept, expr, threshold
                 continue
             probabilistic = probabilistic_regions(space, concept, Thresholds(alpha_p, beta_p))
             entries.append(SweepEntry(alpha_p, beta_p, lingual.same_regions(probabilistic)))
-    return SweepResult(candidates, tuple(entries))
+    return candidates, tuple(entries)
 
 
 def write_seeded_table(path, seed: int = 7, rows: int = 10_000, blocks: int = 200) -> None:

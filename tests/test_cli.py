@@ -119,6 +119,16 @@ class TestRegionsCommand:
         assert f"line 3 has {fields} fields; the header has 3" in result.stderr
         assert "Traceback" not in result.output
 
+    def test_non_utf8_input_exits_3(self, runner, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"user,community,sport\nu1,C1,1\nu2,Caf\xe9,0\n")
+        result = runner.invoke(main, ["regions", "--input", str(path), "--key", "community",
+                                      "--concept", "sport", "--expr", "not_small",
+                                      "--alpha", "0.8", "--beta", "0.2"])
+        assert result.exit_code == 3
+        assert f"{path} is not UTF-8 text" in result.stderr
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("flag, value", [
         ("--alpha", "1e999999999"), ("--beta", "1e-1000000"), ("--alpha", "0." + "4" * 200),
         ("--expr", "delta:1e1000000"), ("--expr", "delta:1/0"),
@@ -215,6 +225,29 @@ class TestEquivalenceCommand:
         result = invoke(runner, "equivalence", *BASE, "--expr", "file:/no/such.json",
                         "--alpha", "0.8", "--beta", "0.2")
         assert result.exit_code == 2
+
+    def test_expression_file_that_is_a_directory_exits_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["equivalence", *BASE, "--expr", f"file:{tmp_path}",
+                                      "--alpha", "0.8", "--beta", "0.2"])
+        assert result.exit_code == 2
+        assert f"cannot read expression file {tmp_path}" in result.stderr
+        assert "Traceback" not in result.output
+
+    def test_sweep_entries_stay_unbuilt(self, runner, monkeypatch):
+        sweeps = []
+        original = eq_module.sweep_equivalence_oracle
+
+        def recording_oracle(*args):
+            sweeps.append(original(*args))
+            return sweeps[-1]
+
+        monkeypatch.setattr(eq_module, "sweep_equivalence_oracle", recording_oracle)
+        result = invoke(runner, "equivalence", *BASE, "--expr", "not_small",
+                        "--alpha", "0.8", "--beta", "0.2", "--format", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["equivalence"]["sweep_agrees"] is True
+        assert len(sweeps) == 1
+        assert "entries" not in sweeps[0].__dict__
 
 
 class TestVerifyCommand:

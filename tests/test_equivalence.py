@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -31,12 +32,13 @@ from threeway import (
     pawlak_rough_set,
     probabilistic_regions,
     region_bounds,
+    report,
     rough_set_from_tripartition,
     sweep_equivalence_oracle,
     verify_equivalence,
 )
 
-from threeway.equivalence import SweepEntry
+from threeway.equivalence import intervals_of
 
 from conftest import (
     DIP_THRESHOLDS,
@@ -379,7 +381,8 @@ class TestSweep:
     def test_matches_element_level_reference(self, space_concept, expr, thresholds):
         space, concept = space_concept
         sweep = sweep_equivalence_oracle(space, concept, expr, thresholds)
-        assert sweep == reference_sweep(space, concept, expr, thresholds)
+        reference = reference_sweep(space, concept, expr, thresholds)
+        assert (sweep.candidates, sweep.entries) == reference
 
     @pytest.mark.parametrize("expr", [MEDIUM_HUMP, SMALL_LIKE, IdentityExpr(), builtin("not_small")])
     def test_shared_ratios_match_reference(self, expr):
@@ -390,14 +393,15 @@ class TestSweep:
         space = ApproximationSpace(ids, blocks)
         th = Thresholds(Fraction("0.6"), Fraction("0.05"))
         sweep = sweep_equivalence_oracle(space, concept, expr, th)
-        assert sweep == reference_sweep(space, concept, expr, th)
+        assert (sweep.candidates, sweep.entries) == reference_sweep(space, concept, expr, th)
 
     def test_dip_instance_admits_nothing(self):
         space, concept = dip_instance()
         sweep = sweep_equivalence_oracle(space, concept, builtin("not_small"), DIP_THRESHOLDS)
         assert sweep.entries
         assert sweep.admitted() == ()
-        assert sweep == reference_sweep(space, concept, builtin("not_small"), DIP_THRESHOLDS)
+        reference = reference_sweep(space, concept, builtin("not_small"), DIP_THRESHOLDS)
+        assert (sweep.candidates, sweep.entries) == reference
 
 
     @settings(max_examples=50)
@@ -425,31 +429,45 @@ class TestAgreesWith:
         sweep = sweep_equivalence_oracle(space, concept, expr, th)
         assert sweep.agrees_with(equivalence) is True
         assert admits_every_entry(sweep, equivalence)
-        for flip in range(len(sweep.entries)):
-            entries = list(sweep.entries)
-            e = entries[flip]
-            entries[flip] = SweepEntry(e.alpha, e.beta, not e.equivalent)
-            tampered = SweepResult(sweep.candidates, tuple(entries))
-            assert tampered.agrees_with(equivalence) == admits_every_entry(tampered, equivalence)
-            assert not tampered.agrees_with(equivalence)
+        verdicts = []
+        for field in ("alpha_ok", "beta_ok"):
+            vector = getattr(sweep, field)
+            for flip in range(len(vector)):
+                flipped = vector[:flip] + (not vector[flip],) + vector[flip + 1:]
+                tampered = dataclasses.replace(sweep, **{field: flipped})
+                verdicts.append(tampered.agrees_with(equivalence))
+                assert verdicts[-1] == admits_every_entry(tampered, equivalence)
+        assert not all(verdicts)
 
     @pytest.mark.parametrize("make, expr, th, case", AGREEMENT_CASES,
                              ids=[c.value for *_, c in AGREEMENT_CASES])
     def test_hand_built_entries_with_beta_not_below_alpha(self, make, expr, th, case):
+        # agrees_with has no beta' < alpha' test: the entries are derived from
+        # the sorted candidates, so every pair they hold already satisfies it
         space, concept = make()
-        equivalence = equivalent_threshold_intervals(space, concept, expr, th)
-        inside = next(e for e in sweep_equivalence_oracle(space, concept, expr, th).entries
-                      if e.equivalent)
-        # the swapped pair lies inside both coordinate ranges in the coupled
-        # case, so only the beta' < alpha' test rejects it
-        for entries in (
-            (SweepEntry(inside.beta, inside.alpha, False),),
-            (SweepEntry(inside.beta, inside.alpha, True),),
-            (SweepEntry(inside.alpha, inside.alpha, False), inside),
-            (SweepEntry(inside.alpha, inside.alpha, True), inside),
-        ):
-            hand_built = SweepResult((), entries)
-            assert hand_built.agrees_with(equivalence) == admits_every_entry(hand_built, equivalence)
+        sweep = sweep_equivalence_oracle(space, concept, expr, th)
+        c = len(sweep.candidates)
+        assert list(sweep.candidates) == sorted(set(sweep.candidates))
+        assert len(sweep.entries) == c * (c - 1) // 2
+        assert all(e.beta < e.alpha for e in sweep.entries)
+
+    def test_fields_are_the_two_verdict_vectors(self, community):
+        space, sport = community
+        sweep = sweep_equivalence_oracle(space, sport, builtin("not_small"), TH_COMMUNITY)
+        assert [f.name for f in dataclasses.fields(sweep)] == ["candidates", "alpha_ok", "beta_ok"]
+        assert len(sweep.alpha_ok) == len(sweep.beta_ok) == len(sweep.candidates)
+
+    def test_agreement_and_report_leave_the_entries_unbuilt(self, community):
+        space, sport = community
+        expr = builtin("not_small")
+        tp = linguistic_regions(space, sport, expr, TH_COMMUNITY)
+        equivalence = intervals_of(tp, expr)
+        sweep = sweep_equivalence_oracle(space, sport, expr, TH_COMMUNITY)
+        assert sweep.agrees_with(equivalence)
+        assert "entries" not in sweep.__dict__
+        rep = report(tp, expr, TH_COMMUNITY, sport, equivalence=equivalence, sweep=sweep)
+        assert rep.sweep_agrees is True
+        assert "entries" not in sweep.__dict__
 
 
 class TestDeltaRegions:

@@ -248,6 +248,12 @@ class TestCsv:
         with pytest.raises(DataError, match=f"line 3 has {fields} fields; the header has 3"):
             load_table(str(path))
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"user,community,sport\nu1,C1,1\nu2,Caf\xe9,0\n")
+        with pytest.raises(DataError, match=r"latin\.csv is not UTF-8 text: .*0xe9"):
+            load_table(str(path))
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("user,community\n\nu1,C1\n\nu2,C1\n", encoding="utf-8")
