@@ -208,7 +208,7 @@ def equivalence(space, concept, expr, thresholds, fmt) -> None:
     tp = linguistic_regions(space, concept, expr, thresholds)
     bounds_ = eq.bounds_of(tp)
     equivalence_ = eq.intervals_of(tp, expr)
-    sweep_ = eq.sweep_equivalence_oracle(space, concept, expr, thresholds)
+    sweep_ = eq.sweep_of(tp)
     emit(
         xp.report(tp, expr, thresholds, concept, bounds=bounds_,
                   equivalence=equivalence_, sweep=sweep_),

@@ -36,12 +36,15 @@ to 0 or 1, and an empty boundary to the other two bounds, coupling the pair.
 An independent brute-force check is provided alongside.  Region membership
 only depends on where a threshold sits relative to the finite ratio set, so
 the attained ratios, the midpoints between consecutive ones, and 0 and 1 hit
-every equivalence cell of threshold space.  The sweep oracle decides every
-pair of these c <= 2k + 1 candidates (k distinct ratios) on the ratio table,
-never on element sets, as two verdict vectors: one over alpha', one over
-beta'.  The pair table (one verdict per beta' < alpha') is a view derived on
-first read.  It reads no bound and assumes no monotonicity; for an
-increasing expression its table must match the intervals on every pair.
+every equivalence cell of threshold space.  :func:`sweep_of` decides every
+pair of these c <= 2k + 1 candidates (k distinct ratios) on the same block
+table, never on element sets: each attained ratio's wanted region is its
+block's region.  The result is two verdict vectors, one over alpha' and one
+over beta'; the pair table (one verdict per beta' < alpha') is a view derived
+on first read.  The sweep reads no bound and no interval and assumes no
+monotonicity; for an increasing expression its table must match the
+intervals on every pair.  :func:`sweep_equivalence_oracle` builds the
+tri-partition and delegates.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Optional
 
 from .expressions import Numeric, StepExpr, is_increasing
 from .regions import (
@@ -58,7 +61,6 @@ from .regions import (
     TriPartition,
     linguistic_regions,
     probabilistic_regions,
-    region_of_degree,
 )
 from .spaces import ApproximationSpace, Concept
 
@@ -139,10 +141,10 @@ def format_endpoint(value: Fraction) -> str:
 class ThresholdEquivalence:
     """The set of probabilistic threshold pairs reproducing the source regions.
 
-    When ``coupled`` is true (empty boundary region) the admissible set is
-    the joint wedge ``alpha_interval.lo <= beta' < alpha' <= alpha_interval.hi``
-    rather than the product of the two intervals; :meth:`admits` applies the
-    correct test either way.
+    A pair is admitted when beta' < alpha' and each lies in its interval.
+    When ``coupled`` is true (empty boundary region) that is the joint wedge
+    ``alpha_interval.lo <= beta' < alpha' <= alpha_interval.hi``: the two
+    intervals are its projections, and beta' < alpha' does the coupling.
     """
 
     case: EmptinessCase
@@ -151,19 +153,8 @@ class ThresholdEquivalence:
     coupled: bool
 
     def admits(self, alpha_p: Numeric, beta_p: Numeric) -> bool:
-        return beta_p < alpha_p and self.admits_alpha(alpha_p) and self.admits_beta(beta_p)
-
-    def admits_alpha(self, alpha_p: Numeric) -> bool:
-        """The alpha' test of :meth:`admits`, without the ``beta' < alpha'`` coupling."""
-        if self.coupled:
-            return alpha_p <= self.alpha_interval.hi
-        return self.alpha_interval.contains(alpha_p)
-
-    def admits_beta(self, beta_p: Numeric) -> bool:
-        """The beta' test of :meth:`admits`, without the ``beta' < alpha'`` coupling."""
-        if self.coupled:
-            return self.alpha_interval.lo <= beta_p
-        return self.beta_interval.contains(beta_p)
+        return (beta_p < alpha_p and self.alpha_interval.contains(alpha_p)
+                and self.beta_interval.contains(beta_p))
 
     def to_json_dict(self, sweep_agrees: Optional[bool] = None) -> dict:
         data = {
@@ -348,8 +339,8 @@ class SweepResult:
         Equal to testing ``equivalence.admits`` per entry: sorted candidates make
         b < a imply beta' < alpha', so row a is ``beta_ok[:a]`` or all false.
         """
-        alpha_eq = tuple(map(equivalence.admits_alpha, self.candidates))
-        beta_eq = tuple(map(equivalence.admits_beta, self.candidates))
+        alpha_eq = tuple(map(equivalence.alpha_interval.contains, self.candidates))
+        beta_eq = tuple(map(equivalence.beta_interval.contains, self.candidates))
         all_false = (False,) * len(self.candidates)
         return all(
             (self.beta_ok if ok else all_false)[:a] == (beta_eq if eq_ok else all_false)[:a]
@@ -360,7 +351,7 @@ class SweepResult:
         return tuple(e for e in self.entries if e.equivalent)
 
 
-def candidate_thresholds(ratios: list[Fraction]) -> tuple[Fraction, ...]:
+def candidate_thresholds(ratios: Iterable[Fraction]) -> tuple[Fraction, ...]:
     """Attained ratios, midpoints of consecutive ratios, and the extremes 0 and 1.
 
     Region membership is a function of where a threshold falls relative to the
@@ -382,20 +373,23 @@ def sweep_equivalence_oracle(
     expr,
     thresholds: Thresholds,
 ) -> SweepResult:
-    """Decide every candidate pair (beta' < alpha') by direct region comparison.
+    """:func:`sweep_of` the linguistic tri-partition of ``space`` and ``concept``."""
+    return sweep_of(linguistic_regions(space, concept, expr, thresholds))
+
+
+def sweep_of(tp: TriPartition) -> SweepResult:
+    """Decide every candidate pair (beta' < alpha') against a tri-partition's block table.
 
     It reads no bound and assumes no monotonicity, so the intervals can be
     checked against it.  Each verdict equals :func:`verify_equivalence` at that
     pair: blocks are non-empty, disjoint and cover the universe, so element
-    sets agree exactly when every distinct ratio lands in its wanted region.
+    sets agree exactly when every attained ratio lands in its block's region.
     """
-    ratios = space.block_ratios(concept)
-    candidates = candidate_thresholds(list(ratios.values()))
-    attained = set(ratios.values())
+    candidates = candidate_thresholds(tp.ratios)
+    position = {value: i for i, value in enumerate(candidates)}
     wanted: dict[str, list[int]] = {"pos": [], "neg": [], "bnd": []}
-    for i, value in enumerate(candidates):
-        if value in attained:
-            wanted[region_of_degree(expr.evaluate(value), thresholds)].append(i)
+    for ratio, region in zip(tp.ratios, tp.block_regions):
+        wanted[region].append(position[ratio])
     # At the pair (candidates[a], candidates[b]), b < a, the ratio at position
     # i is probabilistically pos when i >= a, neg when i <= b and bnd between.
     # So alpha' settles the wanted-pos ratios and the upper side of the

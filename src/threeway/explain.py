@@ -5,18 +5,23 @@ template.  Expressions that carry a fuzzy-quantifier reading get quantifier
 wording ("many members of C2 are in sport"); every other expression is named
 verbatim.  Degrees appear with two decimals in prose and at full precision in
 the JSON form.  Everything here is pure formatting over immutable inputs.
+
+A report is the tri-partition it describes plus what was derived from it
+(bounds, intervals, the sweep's verdict).  Each block line, the region sizes
+and the notes are rendered from the block table when the report is; only the
+JSON form reads the element view (``regions``), so text output builds no
+element set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional
 
 from .equivalence import RegionBounds, SweepResult, ThresholdEquivalence, format_endpoint
 from .expressions import quantifier_for
-from .regions import Thresholds, TriPartition
+from .regions import REGION_NAMES, Thresholds, TriPartition
 from .spaces import Concept
 
 
@@ -29,8 +34,6 @@ class Decision(Enum):
 
 
 _DECISION_BY_REGION = {"pos": Decision.ACCEPT, "neg": Decision.REJECT, "bnd": Decision.ABSTAIN}
-
-_REGION_BY_DECISION = {decision: region for region, decision in _DECISION_BY_REGION.items()}
 
 _REGION_WORD = {"pos": "positive", "neg": "negative", "bnd": "boundary"}
 
@@ -84,32 +87,56 @@ def explain_element(tp: TriPartition, expr, element: str, concept_label: str) ->
     )
 
 
-@dataclass(frozen=True)
-class BlockSection:
-    """One report section: a block, its ratio/degree, and its assignment."""
-
-    label: str
-    elements: tuple[str, ...]
-    ratio: Fraction
-    degree: float
-    region: Decision
-    sentence: str
+#: The report's notes on empty regions, in the order they are printed.
+_EMPTY_REGION_NOTES = {
+    "bnd": "no abstentions: the boundary region is empty",
+    "pos": "positive region empty",
+    "neg": "negative region empty",
+}
 
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Block-level view of one analysis run, with optional bounds and intervals."""
+    """One analysis run: a tri-partition, how it was built, and what was derived from it."""
 
-    concept_label: str
-    expression_name: str
+    tp: TriPartition
+    expr: object
     thresholds: Thresholds
-    sections: tuple[BlockSection, ...]
-    region_sizes: dict[str, int]
-    notes: tuple[str, ...]
-    regions: Optional[dict] = None
+    concept_label: str
     bounds: Optional[RegionBounds] = None
     equivalence: Optional[ThresholdEquivalence] = None
     sweep_agrees: Optional[bool] = None
+
+    @property
+    def expression_name(self) -> str:
+        return getattr(self.expr, "name", str(self.expr))
+
+    @property
+    def region_sizes(self) -> dict[str, int]:
+        sizes = dict.fromkeys(REGION_NAMES, 0)
+        for block, region in zip(self.tp.space.blocks, self.tp.block_regions):
+            sizes[region] += len(block)
+        return sizes
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        empty = self.tp.empty_regions
+        notes = [note for region, note in _EMPTY_REGION_NOTES.items() if region in empty]
+        if self.equivalence is not None:
+            notes.append(f"equivalence case: {self.equivalence.case.value}")
+        return tuple(notes)
+
+    def _blocks(self):
+        """Each block's label, elements, ratio, float degree, region and sentence."""
+        space, tp = self.tp.space, self.tp
+        quantifier, name = quantifier_for(self.expr), self.expression_name
+        for label, block, ratio, degree, region in zip(
+            space.labels, space.blocks, tp.ratios, tp.block_degrees, tp.block_regions
+        ):
+            degree = float(degree)
+            sentence = _sentence(label, label, self.concept_label, quantifier, name, degree,
+                                 _DECISION_BY_REGION[region])
+            yield label, block, ratio, degree, region, sentence
 
     def to_text(self) -> str:
         lines = [
@@ -118,26 +145,24 @@ class AnalysisReport:
             f"thresholds: alpha={self.thresholds.alpha}, beta={self.thresholds.beta}",
             "",
         ]
-        for section in self.sections:
+        for label, block, ratio, degree, region, sentence in self._blocks():
             lines.append(
-                f"block {section.label} ({len(section.elements)} elements): "
-                f"ratio {format_endpoint(section.ratio)}, degree {section.degree:.4g}, "
-                f"region {_REGION_WORD[_REGION_BY_DECISION[section.region]]}"
+                f"block {label} ({len(block)} elements): "
+                f"ratio {format_endpoint(ratio)}, degree {degree:.4g}, "
+                f"region {_REGION_WORD[region]}"
             )
-            lines.append(f"  {section.sentence}")
+            lines.append(f"  {sentence}")
         lines.append("")
+        sizes = self.region_sizes
         lines.append(
-            "region sizes: positive "
-            f"{self.region_sizes['pos']}, negative {self.region_sizes['neg']}, "
-            f"boundary {self.region_sizes['bnd']}"
+            f"region sizes: positive {sizes['pos']}, negative {sizes['neg']}, "
+            f"boundary {sizes['bnd']}"
         )
         for note in self.notes:
             lines.append(f"note: {note}")
         if self.bounds is not None:
             lines.append("region bounds (attained inclusion ratios):")
-            for name, value in zip(
-                ("neg_max", "bnd_min", "bnd_max", "pos_min"), self.bounds.as_tuple()
-            ):
+            for name, value in asdict(self.bounds).items():
                 rendered = "absent (region empty)" if value is None else format_endpoint(value)
                 lines.append(f"  {name} = {rendered}")
         if self.equivalence is not None:
@@ -155,26 +180,23 @@ class AnalysisReport:
             "beta": float(self.thresholds.beta),
             "blocks": [
                 {
-                    "label": s.label,
-                    "elements": list(s.elements),
-                    "ratio": float(s.ratio),
-                    "degree": s.degree,
-                    "region": _REGION_BY_DECISION[s.region],
-                    "sentence": s.sentence,
+                    "label": label,
+                    "elements": list(block),
+                    "ratio": float(ratio),
+                    "degree": degree,
+                    "region": region,
+                    "sentence": sentence,
                 }
-                for s in self.sections
+                for label, block, ratio, degree, region, sentence in self._blocks()
             ],
-            "region_sizes": dict(self.region_sizes),
+            "region_sizes": self.region_sizes,
             "notes": list(self.notes),
+            "regions": self.tp.to_json_dict(),
         }
-        if self.regions is not None:
-            data["regions"] = self.regions
         if self.bounds is not None:
             data["bounds"] = {
                 name: (None if value is None else float(value))
-                for name, value in zip(
-                    ("neg_max", "bnd_min", "bnd_max", "pos_min"), self.bounds.as_tuple()
-                )
+                for name, value in asdict(self.bounds).items()
             }
         if self.equivalence is not None:
             data["equivalence"] = self.equivalence.to_json_dict(self.sweep_agrees)
@@ -190,51 +212,6 @@ def report(
     equivalence: Optional[ThresholdEquivalence] = None,
     sweep: Optional[SweepResult] = None,
 ) -> AnalysisReport:
-    """Assemble the block-level report for one analysis run from ``tp``'s block table."""
-    concept_label = concept.label
-    quantifier = quantifier_for(expr)
-    expr_name = getattr(expr, "name", str(expr))
-
-    sections = []
-    for label, block, ratio, degree, region in zip(
-        tp.space.labels, tp.space.blocks, tp.ratios, tp.block_degrees, tp.block_regions
-    ):
-        degree = float(degree)
-        decision = _DECISION_BY_REGION[region]
-        sections.append(
-            BlockSection(
-                label=label,
-                elements=block,
-                ratio=ratio,
-                degree=degree,
-                region=decision,
-                sentence=_sentence(
-                    label, label, concept_label, quantifier, expr_name, degree, decision,
-                ),
-            )
-        )
-
-    notes = []
-    if "bnd" in tp.empty_regions:
-        notes.append("no abstentions: the boundary region is empty")
-    if "pos" in tp.empty_regions:
-        notes.append("positive region empty")
-    if "neg" in tp.empty_regions:
-        notes.append("negative region empty")
-    if equivalence is not None:
-        notes.append(f"equivalence case: {equivalence.case.value}")
-
-    return AnalysisReport(
-        concept_label=concept_label,
-        expression_name=expr_name,
-        thresholds=thresholds,
-        sections=tuple(sections),
-        region_sizes={"pos": len(tp.pos), "neg": len(tp.neg), "bnd": len(tp.bnd)},
-        notes=tuple(notes),
-        regions=tp.to_json_dict(),
-        bounds=bounds,
-        equivalence=equivalence,
-        sweep_agrees=None if sweep is None else (
-            None if equivalence is None else sweep.agrees_with(equivalence)
-        ),
-    )
+    """The report of one analysis run; the sweep is reduced to its verdict on ``equivalence``."""
+    sweep_agrees = None if sweep is None or equivalence is None else sweep.agrees_with(equivalence)
+    return AnalysisReport(tp, expr, thresholds, concept.label, bounds, equivalence, sweep_agrees)

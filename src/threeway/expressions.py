@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -151,7 +152,10 @@ class Segment:
         if self.form != "const" and float(self.lo) < self.a < float(self.hi):
             probes.append(self.a)
         for x in probes:
-            v = self.value(x)
+            try:
+                v = self.value(x)
+            except OverflowError:  # the square of a huge coefficient
+                v = math.inf if self.form == "quad_up" else -math.inf
             if not -_RANGE_SLOP <= v <= 1 + _RANGE_SLOP:
                 raise ExpressionError(
                     f"segment [{self.lo}, {self.hi}] leaves [0, 1]: value {v:.6g} at x={x:.6g}"
@@ -467,4 +471,6 @@ def load_expression(path: str) -> EvalExpr:
             data = json.load(handle)
         except ValueError as exc:  # bad syntax, or an integer past the digit limit
             raise ExpressionError(f"{path} is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ExpressionError(f"{path} nests arrays or objects too deeply to read") from None
     return expression_from_json_dict(data)

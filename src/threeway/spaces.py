@@ -225,7 +225,8 @@ def load_table(path: str) -> list[dict[str, str]]:
     """Read a CSV table: header row required, first column is the element id.
 
     Blank lines are skipped; a row whose field count differs from the header's is
-    refused, and so is a file that is not UTF-8.
+    refused, and so is a file that is not UTF-8 or that the csv module cannot
+    parse (such as a field over its 131,072-character limit).
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -242,6 +243,8 @@ def load_table(path: str) -> list[dict[str, str]]:
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start]
         raise DataError(f"{path} is not UTF-8 text: it holds the byte 0x{bad:02x}") from None
+    except csv.Error as exc:  # e.g. a field past the csv module's size limit
+        raise DataError(f"{path} line {reader.line_num} is not readable CSV: {exc}") from None
     if not rows:
         raise DataError(f"{path} has no data rows")
     return rows

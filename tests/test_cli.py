@@ -129,6 +129,17 @@ class TestRegionsCommand:
         assert f"{path} is not UTF-8 text" in result.stderr
         assert "Traceback" not in result.output
 
+    def test_field_over_the_csv_limit_exits_3(self, runner, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("user,community,sport\nu1,C1,0\nu2," + "C" * 140_000 + ",1\n",
+                        encoding="utf-8")
+        result = runner.invoke(main, ["regions", "--input", str(path), "--key", "community",
+                                      "--concept", "sport", "--expr", "not_small",
+                                      "--alpha", "0.8", "--beta", "0.2"])
+        assert result.exit_code == 3
+        assert f"{path} line 3 is not readable CSV" in result.stderr
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("flag, value", [
         ("--alpha", "1e999999999"), ("--beta", "1e-1000000"), ("--alpha", "0." + "4" * 200),
         ("--expr", "delta:1e1000000"), ("--expr", "delta:1/0"),
@@ -221,6 +232,22 @@ class TestEquivalenceCommand:
         assert "segment 1 a must be a number" in result.stderr
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("content, message", [
+        (json.dumps({"name": "huge", "segments": [
+            {"lo": 0, "lo_inclusive": True, "hi": 1, "hi_inclusive": True,
+             "form": "quad_up", "a": 1e200, "d": 1}]}),
+         "segment [0, 1] leaves [0, 1]: value inf at x=0"),
+        ("[" * 200_000, "nests arrays or objects too deeply"),
+    ], ids=["overflowing_coefficient", "deep_nesting"])
+    def test_expression_file_past_python_limits_exits_2(self, runner, tmp_path, content, message):
+        path = tmp_path / "expr.json"
+        path.write_text(content, encoding="utf-8")
+        result = runner.invoke(main, ["equivalence", *BASE, "--expr", f"file:{path}",
+                                      "--alpha", "0.8", "--beta", "0.2"])
+        assert result.exit_code == 2
+        assert message in result.stderr
+        assert "Traceback" not in result.output
+
     def test_missing_expression_file(self, runner):
         result = invoke(runner, "equivalence", *BASE, "--expr", "file:/no/such.json",
                         "--alpha", "0.8", "--beta", "0.2")
@@ -235,13 +262,13 @@ class TestEquivalenceCommand:
 
     def test_sweep_entries_stay_unbuilt(self, runner, monkeypatch):
         sweeps = []
-        original = eq_module.sweep_equivalence_oracle
+        original = eq_module.sweep_of
 
-        def recording_oracle(*args):
-            sweeps.append(original(*args))
+        def recording_sweep(tp):
+            sweeps.append(original(tp))
             return sweeps[-1]
 
-        monkeypatch.setattr(eq_module, "sweep_equivalence_oracle", recording_oracle)
+        monkeypatch.setattr(eq_module, "sweep_of", recording_sweep)
         result = invoke(runner, "equivalence", *BASE, "--expr", "not_small",
                         "--alpha", "0.8", "--beta", "0.2", "--format", "json")
         assert result.exit_code == 0
@@ -279,7 +306,7 @@ class TestVerifyCommand:
 
 
 class TestStageCalls:
-    """Each command builds the block table once; only the sweep oracle recounts ratios."""
+    """Each command builds the block table once, and the sweep decides on it."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -301,15 +328,32 @@ class TestStageCalls:
         return counts
 
     @pytest.mark.parametrize("command, expected", [
-        ("equivalence", {"linguistic_regions": 1, "block_ratios": 2}),
+        ("equivalence", {"linguistic_regions": 1, "block_ratios": 1}),
         ("bounds", {"linguistic_regions": 1, "block_ratios": 1}),
         ("regions", {"linguistic_regions": 1, "block_ratios": 1}),
+        ("sweep", {"linguistic_regions": 1, "block_ratios": 1}),
     ])
     def test_calls_per_command(self, runner, calls, command, expected):
         result = invoke(runner, command, *BASE, "--expr", "not_small",
                         "--alpha", "0.8", "--beta", "0.2")
         assert result.exit_code == 0
         assert calls == expected
+
+    @pytest.mark.parametrize("command", ["regions", "bounds", "equivalence"])
+    def test_text_output_builds_no_element_view(self, runner, monkeypatch, command):
+        built = []
+        original = cli_module.linguistic_regions
+
+        def recording_regions(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli_module, "linguistic_regions", recording_regions)
+        result = invoke(runner, command, *BASE, "--expr", "not_small",
+                        "--alpha", "0.8", "--beta", "0.2")
+        assert result.exit_code == 0
+        assert len(built) == 1
+        assert not {"pos", "neg", "bnd", "degrees"} & built[0].__dict__.keys()
 
 
 class TestSharedOptions:
@@ -367,10 +411,11 @@ class TestGoldenJson:
 
 
 class TestGoldenOutput:
-    """The rest of the sample output, and JSON digests on a seeded 10k-row table.
+    """The rest of the sample output, and digests on a seeded 10k-row table.
 
     Captured from the code before the block-table pipeline, like the JSON
-    fixtures above; a change to any of them is a change of behaviour.
+    fixtures above (the text digests before the report read the block table
+    in place); a change to any of them is a change of behaviour.
     """
 
     @pytest.mark.parametrize("command, fmt, fixture", [
@@ -403,11 +448,23 @@ class TestGoldenOutput:
         ("sweep", "9962a7b58a01295c9715884902038ed557fd91c9fb2afc400c0df66fa193dc85"),
     ])
     def test_seeded_table_digest(self, runner, tmp_path, command, digest):
-        table = tmp_path / "seeded.csv"
-        write_seeded_table(table)
-        result = invoke(runner, command, "--input", str(table), "--key", "grp",
-                        "--concept", "x", "--expr", "not_small",
-                        "--alpha", "0.8", "--beta", "0.2", "--format", "json")
-        assert result.exit_code == 0
-        assert result.stderr_bytes == b""
-        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+        assert seeded_table_digest(runner, tmp_path, command, "json") == digest
+
+    @pytest.mark.parametrize("command, digest", [
+        ("regions", "d42ccd2dde4a8de2b0589705be1c77cec03fc3e50210435dc122f59b9d152a91"),
+        ("equivalence", "e5f63d22ef5b0581bc125addb83a6f8f5dc59246665c856d8dc052ebe91971bf"),
+    ])
+    def test_seeded_table_text_digest(self, runner, tmp_path, command, digest):
+        assert seeded_table_digest(runner, tmp_path, command, "text") == digest
+
+
+def seeded_table_digest(runner, tmp_path, command: str, fmt: str) -> str:
+    """The sha256 of one command's stdout on the seeded 10k-row table."""
+    table = tmp_path / "seeded.csv"
+    write_seeded_table(table)
+    result = invoke(runner, command, "--input", str(table), "--key", "grp",
+                    "--concept", "x", "--expr", "not_small",
+                    "--alpha", "0.8", "--beta", "0.2", "--format", fmt)
+    assert result.exit_code == 0
+    assert result.stderr_bytes == b""
+    return hashlib.sha256(result.stdout_bytes).hexdigest()

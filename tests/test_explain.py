@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
 from threeway import (
+    AnalysisReport,
     Decision,
     DataError,
     StepExpr,
@@ -99,10 +101,11 @@ class TestReport:
     def test_community_sections(self, community_run):
         space, sport, expr, tp = community_run
         result = report(tp, expr, TH, sport)
-        assert len(result.sections) == 6
-        by_label = {s.label: s for s in result.sections}
-        assert [s for s in by_label if by_label[s].region is Decision.ACCEPT] == ["C3", "C4", "C5"]
-        assert by_label["C6"].ratio == Fraction(1, 7)
+        blocks = result.to_json_dict()["blocks"]
+        assert len(blocks) == 6
+        by_label = {b["label"]: b for b in blocks}
+        assert [b for b in by_label if by_label[b]["region"] == "pos"] == ["C3", "C4", "C5"]
+        assert by_label["C6"]["ratio"] == float(Fraction(1, 7))
         assert result.region_sizes == {"pos": 15, "neg": 5, "bnd": 12}
 
     def test_positive_blocks_sorted_by_degree_stay_confident(self, community_run):
@@ -171,3 +174,18 @@ class TestReport:
         assert set(block["alpha_interval"]) == {"lo", "lo_open", "hi", "hi_open"}
         assert block["alpha_interval"]["hi"] == 0.4
         assert block["beta_interval"]["hi_open"] is True
+
+    def test_fields_are_the_run_inputs(self):
+        assert [f.name for f in dataclasses.fields(AnalysisReport)] == [
+            "tp", "expr", "thresholds", "concept_label", "bounds", "equivalence", "sweep_agrees",
+        ]
+
+    def test_text_builds_no_element_view(self, community_run):
+        space, sport, expr, tp = community_run
+        result = report(tp, expr, TH, sport, bounds=region_bounds(space, sport, expr, TH),
+                        equivalence=equivalent_threshold_intervals(space, sport, expr, TH),
+                        sweep=sweep_equivalence_oracle(space, sport, expr, TH))
+        assert "region sizes: positive 15, negative 5, boundary 12" in result.to_text()
+        assert not {"pos", "neg", "bnd", "degrees"} & tp.__dict__.keys()
+        result.to_json_dict()
+        assert {"pos", "neg", "bnd", "degrees"} <= tp.__dict__.keys()

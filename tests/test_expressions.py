@@ -368,6 +368,20 @@ class TestJson:
         with pytest.raises(ExpressionError):
             load_expression(str(path))
 
+    @pytest.mark.parametrize("form, value", [("quad_up", "inf"), ("quad_down", "-inf")])
+    def test_overflowing_coefficient_is_typed(self, form, value):
+        segment = {"lo": 0, "lo_inclusive": True, "hi": 1, "hi_inclusive": True,
+                   "form": form, "a": 1e200, "d": 1}
+        with pytest.raises(ExpressionError,
+                           match=rf"segment \[0, 1\] leaves \[0, 1\]: value {value} at x=0"):
+            expression_from_json_dict({"name": "huge", "segments": [segment]})
+
+    def test_deeply_nested_file_is_typed(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        with pytest.raises(ExpressionError, match="nested.json nests arrays or objects too deeply"):
+            load_expression(str(path))
+
     def test_validation_applies_to_json_input(self):
         with pytest.raises(ExpressionError):
             expression_from_json_dict(

@@ -183,8 +183,8 @@ class TestBlockTable:
         ):
             assert tp.ratios == recount
             assert len(tp.block_degrees) == len(tp.block_regions) == len(space.blocks)
-            sections = report(tp, builtin("not_small"), thresholds, concept).sections
-            assert tuple(section.ratio for section in sections) == recount
+            blocks = report(tp, builtin("not_small"), thresholds, concept).to_json_dict()["blocks"]
+            assert tuple(block["ratio"] for block in blocks) == tuple(map(float, recount))
             # the derived element views against an element-by-element recount
             degrees, regions = recount_regions(space, concept, expr, used)
             assert tp.degrees == degrees

@@ -254,6 +254,14 @@ class TestCsv:
         with pytest.raises(DataError, match=r"latin\.csv is not UTF-8 text: .*0xe9"):
             load_table(str(path))
 
+    def test_field_over_the_csv_limit(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("user,community,sport\nu1,C1,0\nu2," + "C" * 140_000 + ",1\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=r"wide\.csv line 3 is not readable CSV: "
+                                             r"field larger than field limit"):
+            load_table(str(path))
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("user,community\n\nu1,C1\n\nu2,C1\n", encoding="utf-8")
