@@ -10,6 +10,11 @@ Numeric flags are parsed as exact decimals, so ``--alpha 0.4`` means the
 rational 2/5 and lands on interval endpoints exactly.  JSON output is
 deterministic byte-for-byte for a fixed input and configuration.
 
+Every subcommand builds the linguistic tri-partition once, warns on stderr
+when alpha or beta equals an attained degree, and works from that block
+table: ``verify`` reads the probe's regions off the same ratios and names the
+first block where the two routes differ.
+
 Exit codes: 0 success (for ``verify``: tri-partitions coincide), 1 ``verify``
 mismatch, 2 configuration error, 3 data error, 4 non-monotone expression
 where an increasing one is required, 5 degenerate tri-partition (two or more
@@ -37,7 +42,7 @@ from .expressions import (
     builtin,
     load_expression,
 )
-from .regions import Thresholds, ThresholdError, TriPartition, linguistic_regions, probabilistic_regions
+from .regions import Thresholds, ThresholdError, TriPartition, linguistic_regions, region_of_degree
 from .spaces import (
     Concept,
     DataError,
@@ -158,9 +163,10 @@ def analysis_command(*extra_options):
     """Register the decorated function as a subcommand with the shared options, then ``extra_options``.
 
     The shared options are parsed in a fixed order (input, key, concept,
-    expression, alpha, beta), then the function is called as ``body(space,
-    concept, expr, thresholds, **extra)``.  Every library error raised on the
-    way maps to its exit code.
+    expression, alpha, beta).  The linguistic tri-partition is built from them
+    once and checked for threshold ties, then the function is called as
+    ``body(tp, expr, thresholds, concept, **extra)``.  Every library error
+    raised on the way maps to its exit code.
     """
 
     def register(body):
@@ -170,7 +176,9 @@ def analysis_command(*extra_options):
                 space, concept = load_inputs(input_path, key, concept_spec)
                 expr = parse_expression(expr_spec)
                 thresholds = Thresholds(parse_decimal(alpha, "--alpha"), parse_decimal(beta, "--beta"))
-                body(space, concept, expr, thresholds, **extra)
+                tp = linguistic_regions(space, concept, expr, thresholds)
+                warn_on_threshold_ties(tp, thresholds)
+                body(tp, expr, thresholds, concept, **extra)
             except (ConfigError, ThresholdError, ExpressionError, DomainError) as exc:
                 _fail(EXIT_CONFIG, str(exc))
             except (DataError, OSError) as exc:
@@ -188,66 +196,50 @@ def analysis_command(*extra_options):
 
 
 @analysis_command(format_option)
-def regions(space, concept, expr, thresholds, fmt) -> None:
+def regions(tp, expr, thresholds, concept, fmt) -> None:
     """Compute the three regions and explain each block's assignment."""
-    tp = linguistic_regions(space, concept, expr, thresholds)
-    warn_on_threshold_ties(tp, thresholds)
     emit(xp.report(tp, expr, thresholds, concept), fmt)
 
 
 @analysis_command(format_option)
-def bounds(space, concept, expr, thresholds, fmt) -> None:
+def bounds(tp, expr, thresholds, concept, fmt) -> None:
     """Print the extreme inclusion ratios attained inside each region."""
-    tp = linguistic_regions(space, concept, expr, thresholds)
     emit(xp.report(tp, expr, thresholds, concept, bounds=eq.bounds_of(tp)), fmt)
 
 
 @analysis_command(format_option)
-def equivalence(space, concept, expr, thresholds, fmt) -> None:
+def equivalence(tp, expr, thresholds, concept, fmt) -> None:
     """Bounds, the equivalent probabilistic threshold intervals, and the sweep check."""
-    tp = linguistic_regions(space, concept, expr, thresholds)
-    bounds_ = eq.bounds_of(tp)
-    equivalence_ = eq.intervals_of(tp, expr)
-    sweep_ = eq.sweep_of(tp)
-    emit(
-        xp.report(tp, expr, thresholds, concept, bounds=bounds_,
-                  equivalence=equivalence_, sweep=sweep_),
-        fmt,
-    )
+    emit(xp.report(tp, expr, thresholds, concept, bounds=eq.bounds_of(tp),
+                   equivalence=eq.intervals_of(tp, expr), sweep=eq.sweep_of(tp)), fmt)
 
 
 @analysis_command(
     click.option("--prob-alpha", required=True, help="probabilistic acceptance threshold to verify"),
     click.option("--prob-beta", required=True, help="probabilistic rejection threshold to verify"),
 )
-def verify(space, concept, expr, thresholds, prob_alpha, prob_beta) -> None:
+def verify(tp, expr, thresholds, concept, prob_alpha, prob_beta) -> None:
     """Exit 0 when the probabilistic pair reproduces the linguistic regions, 1 otherwise."""
     pa = parse_decimal(prob_alpha, "--prob-alpha")
     pb = parse_decimal(prob_beta, "--prob-beta")
     if not pb < pa:
         raise ConfigError("--prob-beta must be strictly below --prob-alpha")
-    lingual = linguistic_regions(space, concept, expr, thresholds)
-    warn_on_threshold_ties(lingual, thresholds)
-    probabilistic = probabilistic_regions(space, concept, Thresholds(pa, pb))
-    if lingual.block_regions == probabilistic.block_regions:
+    probe = Thresholds(pa, pb)
+    idx = eq.first_difference(tp, probe)
+    if idx is None:
         click.echo("tri-partitions coincide")
         sys.exit(EXIT_OK)
-    label, left, right = next(
-        (label, left, right)
-        for label, left, right in zip(space.labels, lingual.block_regions, probabilistic.block_regions)
-        if left != right
-    )
     click.echo(
-        f"tri-partitions differ: block {label} is {left!r} "
-        f"linguistically but {right!r} probabilistically"
+        f"tri-partitions differ: block {tp.space.labels[idx]} is {tp.block_regions[idx]!r} "
+        f"linguistically but {region_of_degree(tp.ratios[idx], probe)!r} probabilistically"
     )
     sys.exit(EXIT_MISMATCH)
 
 
 @analysis_command(format_option)
-def sweep(space, concept, expr, thresholds, fmt) -> None:
+def sweep(tp, expr, thresholds, concept, fmt) -> None:
     """Brute-force verdict table over every decision-relevant candidate pair."""
-    result = eq.sweep_equivalence_oracle(space, concept, expr, thresholds)
+    result = eq.sweep_of(tp)
     if fmt == "json":
         payload = {
             "candidates": [float(c) for c in result.candidates],

@@ -32,6 +32,10 @@ pass (:func:`intervals_of`): an absent ``neg_max`` or ``pos_min`` gives way
 to 0 or 1, and an empty boundary to the other two bounds, coupling the pair.
 :func:`bounds_of` reads the same pass; :func:`region_bounds` and
 :func:`equivalent_threshold_intervals` build the tri-partition and delegate.
+A probe pair is checked on the same table too: :func:`first_difference` puts
+each block's ratio through the probe (the probabilistic route is the identity
+expression) and names the first block whose region differs, and
+:func:`verify_equivalence` is that search coming up empty.
 
 An independent brute-force check is provided alongside.  Region membership
 only depends on where a threshold sits relative to the finite ratio set, so
@@ -56,12 +60,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .expressions import Numeric, StepExpr, is_increasing
-from .regions import (
-    Thresholds,
-    TriPartition,
-    linguistic_regions,
-    probabilistic_regions,
-)
+from .regions import Thresholds, TriPartition, linguistic_regions, region_of_degree
 from .spaces import ApproximationSpace, Concept
 
 
@@ -156,16 +155,13 @@ class ThresholdEquivalence:
         return (beta_p < alpha_p and self.alpha_interval.contains(alpha_p)
                 and self.beta_interval.contains(beta_p))
 
-    def to_json_dict(self, sweep_agrees: Optional[bool] = None) -> dict:
-        data = {
+    def to_json_dict(self) -> dict:
+        return {
             "case": self.case.value,
             "alpha_interval": self.alpha_interval.to_json_dict(),
             "beta_interval": self.beta_interval.to_json_dict(),
             "coupled": self.coupled,
         }
-        if sweep_agrees is not None:
-            data["sweep_agrees"] = sweep_agrees
-        return data
 
     def describe(self) -> str:
         if self.coupled:
@@ -243,19 +239,13 @@ def check_bounds_ordering(bounds: RegionBounds, expr_increasing: bool) -> bool:
 
 
 def equivalent_threshold_intervals(
-    space: ApproximationSpace,
-    concept: Concept,
-    expr,
-    thresholds: Thresholds,
-    grid_step: Numeric = Fraction(1, 1000),
+    space: ApproximationSpace, concept: Concept, expr, thresholds: Thresholds
 ) -> ThresholdEquivalence:
     """Characterize all (alpha', beta') whose probabilistic regions equal the linguistic ones."""
-    return intervals_of(linguistic_regions(space, concept, expr, thresholds), expr, grid_step)
+    return intervals_of(linguistic_regions(space, concept, expr, thresholds), expr)
 
 
-def intervals_of(
-    tp: TriPartition, expr, grid_step: Numeric = Fraction(1, 1000)
-) -> ThresholdEquivalence:
+def intervals_of(tp: TriPartition, expr) -> ThresholdEquivalence:
     """The equivalent probabilistic threshold pairs of a tri-partition built through ``expr``.
 
     Raises :class:`NonMonotoneExpressionError` when the expression fails the
@@ -264,7 +254,7 @@ def intervals_of(
     :class:`DegenerateRegionsError` when two or more regions of the
     tri-partition are empty.  The scan runs first.
     """
-    if not is_increasing(expr, grid_step):
+    if not is_increasing(expr):
         raise NonMonotoneExpressionError(
             f"expression {getattr(expr, 'name', expr)!r} is not increasing; "
             "the interval characterization only covers increasing expressions"
@@ -303,10 +293,19 @@ def verify_equivalence(
 ) -> bool:
     """Direct check: do the two routes produce identical pos/neg/bnd sets?"""
     probe = Thresholds(alpha_p, beta_p)
-    lingual = linguistic_regions(space, concept, expr, thresholds)
-    probabilistic = probabilistic_regions(space, concept, probe)
-    # Both tables index the same blocks, and the blocks cover the universe.
-    return lingual.block_regions == probabilistic.block_regions
+    return first_difference(linguistic_regions(space, concept, expr, thresholds), probe) is None
+
+
+def first_difference(tp: TriPartition, probe: Thresholds) -> Optional[int]:
+    """The first block, in block order, that ``probe`` puts in another region than ``tp`` does.
+
+    The probabilistic region of a block is its ratio's region under ``probe``
+    (the identity expression on the same ratios), so no second table is
+    counted.  None when the two routes agree on every block, and so, since
+    the blocks cover the universe, on every element.
+    """
+    return next((idx for idx, (ratio, region) in enumerate(zip(tp.ratios, tp.block_regions))
+                 if region_of_degree(ratio, probe) != region), None)
 
 
 @dataclass(frozen=True)

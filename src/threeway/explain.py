@@ -199,7 +199,9 @@ class AnalysisReport:
                 for name, value in asdict(self.bounds).items()
             }
         if self.equivalence is not None:
-            data["equivalence"] = self.equivalence.to_json_dict(self.sweep_agrees)
+            data["equivalence"] = self.equivalence.to_json_dict()
+            if self.sweep_agrees is not None:
+                data["equivalence"]["sweep_agrees"] = self.sweep_agrees
         return data
 
 

@@ -312,42 +312,27 @@ def _scan_increasing(expr, step: Fraction) -> bool:
 _scan_increasing_cached = functools.lru_cache(maxsize=256)(_scan_increasing)
 
 
-def _seg(lo: str, lo_inc: bool, hi: str, hi_inc: bool, form: str, **kw) -> Segment:
-    return Segment(Fraction(lo), Fraction(hi), lo_inc, hi_inc, form, **kw)
+def _nu(name: str, a: str, b: str, c: str, d_rise: float, d_fall: float,
+        b_in_rise: bool = False) -> EvalExpr:
+    """Novák's nu_{a,b,c} with its two published (rounded) denominators.
+
+    0 on [0, a], (x - a)^2 / d_rise up to b, 1 - (c - x)^2 / d_fall up to c
+    (open at c), and 1 on [c, 1]; ``b_in_rise`` gives b to the rising piece.
+    """
+    lo, mid, hi = Fraction(a), Fraction(b), Fraction(c)
+    return EvalExpr(name, (
+        Segment(Fraction(0), lo, True, True, "const", c=0.0),
+        Segment(lo, mid, False, b_in_rise, "quad_up", a=float(a), d=d_rise),
+        Segment(mid, hi, not b_in_rise, False, "quad_down", a=float(c), d=d_fall),
+        Segment(hi, Fraction(1), True, True, "const", c=1.0),
+    ))
 
 
-def _make_builtins() -> dict[str, EvalExpr]:
-    not_small = EvalExpr(
-        "not_small",
-        (
-            _seg("0", True, "0.0745", True, "const", c=0.0),
-            _seg("0.0745", False, "0.16", True, "quad_up", a=0.0745, d=0.01714),
-            _seg("0.16", False, "0.275", False, "quad_down", a=0.275, d=0.02305),
-            _seg("0.275", True, "1", True, "const", c=1.0),
-        ),
-    )
-    very_big = EvalExpr(
-        "very_big",
-        (
-            _seg("0", True, "0.83", True, "const", c=0.0),
-            _seg("0.83", False, "0.895", False, "quad_up", a=0.83, d=0.00828),
-            _seg("0.895", True, "0.9575", False, "quad_down", a=0.9575, d=0.00796),
-            _seg("0.9575", True, "1", True, "const", c=1.0),
-        ),
-    )
-    extremely_big = EvalExpr(
-        "extremely_big",
-        (
-            _seg("0", True, "0.885", True, "const", c=0.0),
-            _seg("0.885", False, "0.95", False, "quad_up", a=0.885, d=0.00715),
-            _seg("0.95", True, "0.995", False, "quad_down", a=0.995, d=0.00495),
-            _seg("0.995", True, "1", True, "const", c=1.0),
-        ),
-    )
-    return {e.name: e for e in (not_small, very_big, extremely_big)}
-
-
-_BUILTINS = _make_builtins()
+_BUILTINS = {e.name: e for e in (
+    _nu("not_small", "0.0745", "0.16", "0.275", 0.01714, 0.02305, b_in_rise=True),
+    _nu("very_big", "0.83", "0.895", "0.9575", 0.00828, 0.00796),
+    _nu("extremely_big", "0.885", "0.95", "0.995", 0.00715, 0.00495),
+)}
 
 
 def builtin(name: str) -> EvalExpr:

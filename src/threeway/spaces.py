@@ -128,7 +128,7 @@ class ApproximationSpace:
 
     def check_concept(self, concept: Concept) -> Concept:
         """Validate that a concept's members all belong to this universe."""
-        stray = concept.members - frozenset(self.elements)
+        stray = concept.members.difference(self._block_of)
         if stray:
             raise DataError(
                 f"concept {concept.label!r} has members outside the universe: "
@@ -224,9 +224,10 @@ def concept_from_column(rows: Sequence[Row], column: str, id_column: Optional[st
 def load_table(path: str) -> list[dict[str, str]]:
     """Read a CSV table: header row required, first column is the element id.
 
-    Blank lines are skipped; a row whose field count differs from the header's is
-    refused, and so is a file that is not UTF-8 or that the csv module cannot
-    parse (such as a field over its 131,072-character limit).
+    Blank lines are skipped; a header that names a column twice is refused, and
+    so is a row whose field count differs from the header's, a file that is not
+    UTF-8, or one the csv module cannot parse (such as a field over its
+    131,072-character limit).
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -234,6 +235,9 @@ def load_table(path: str) -> list[dict[str, str]]:
             header = next(reader, None)
             if header is None:
                 raise DataError(f"{path} has no header row")
+            repeated = sorted(name for name, count in Counter(header).items() if count > 1)
+            if repeated:
+                raise DataError(f"{path} header repeats the column(s) {', '.join(map(repr, repeated))}")
             rows = []
             for fields in filter(None, reader):
                 if len(fields) != len(header):

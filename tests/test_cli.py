@@ -72,10 +72,30 @@ class TestRegionsCommand:
         assert "no abstentions" in result.output
 
     def test_threshold_tie_warns(self, runner):
-        result = invoke(runner, "regions", *BASE, "--expr", "identity",
-                        "--alpha", "0.4", "--beta", "0.1")
-        assert result.exit_code == 0
-        assert "tie-sensitive" in result.stderr
+        probe = ["--prob-alpha", "0.4", "--prob-beta", "0.1"]
+        for command, extra in [("regions", []), ("bounds", []), ("equivalence", []),
+                               ("verify", probe), ("sweep", [])]:
+            result = invoke(runner, command, *BASE, "--expr", "identity",
+                            "--alpha", "0.4", "--beta", "0.1", *extra)
+            assert result.exit_code == 0, command
+            assert "warning: alpha=2/5 exactly equals an attained degree" in result.stderr, command
+
+    def test_tie_warning_precedes_a_bad_probe(self, runner):
+        result = invoke(runner, "verify", *BASE, "--expr", "identity",
+                        "--alpha", "0.4", "--beta", "0.1",
+                        "--prob-alpha", "0.1", "--prob-beta", "0.3")
+        assert result.exit_code == 2
+        assert result.stderr.index("tie-sensitive") < result.stderr.index("--prob-beta")
+
+    def test_repeated_header_column_exits_3(self, runner, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("id,g,g,x\na,1,2,1\nb,1,3,0\nc,2,2,1\n", encoding="utf-8")
+        result = runner.invoke(main, ["regions", "--input", str(path), "--key", "g",
+                                      "--concept", "x", "--expr", "identity",
+                                      "--alpha", "0.8", "--beta", "0.2"])
+        assert result.exit_code == 3
+        assert "header repeats the column(s) 'g'" in result.stderr
+        assert result.stdout == ""
 
     def test_bad_expression_spec(self, runner):
         result = invoke(runner, "regions", *BASE, "--expr", "roughly_big",
@@ -332,10 +352,12 @@ class TestStageCalls:
         ("bounds", {"linguistic_regions": 1, "block_ratios": 1}),
         ("regions", {"linguistic_regions": 1, "block_ratios": 1}),
         ("sweep", {"linguistic_regions": 1, "block_ratios": 1}),
+        ("verify", {"linguistic_regions": 1, "block_ratios": 1}),
     ])
     def test_calls_per_command(self, runner, calls, command, expected):
+        probe = ["--prob-alpha", "0.3", "--prob-beta", "0.1"] if command == "verify" else []
         result = invoke(runner, command, *BASE, "--expr", "not_small",
-                        "--alpha", "0.8", "--beta", "0.2")
+                        "--alpha", "0.8", "--beta", "0.2", *probe)
         assert result.exit_code == 0
         assert calls == expected
 

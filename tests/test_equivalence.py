@@ -20,6 +20,7 @@ from threeway import (
     RegionBounds,
     StepExpr,
     SweepResult,
+    ThresholdError,
     Thresholds,
     builtin,
     candidate_thresholds,
@@ -38,7 +39,7 @@ from threeway import (
     verify_equivalence,
 )
 
-from threeway.equivalence import intervals_of
+from threeway.equivalence import first_difference, intervals_of
 
 from conftest import (
     DIP_THRESHOLDS,
@@ -319,6 +320,41 @@ class TestVerifyEquivalence:
         with pytest.raises(Exception):
             verify_equivalence(space, sport, builtin("not_small"), TH_COMMUNITY,
                                Fraction("0.1"), Fraction("0.3"))
+
+    def test_bad_probe_is_reported_before_a_stray_member(self, community):
+        space, _ = community
+        stray = Concept(frozenset({"u1", "ghost"}), label="stray")
+        with pytest.raises(ThresholdError):
+            verify_equivalence(space, stray, builtin("not_small"), TH_COMMUNITY,
+                               Fraction("0.1"), Fraction("0.3"))
+
+    def test_builds_one_table(self, community, monkeypatch):
+        calls = []
+        original = ApproximationSpace.block_ratios
+        monkeypatch.setattr(ApproximationSpace, "block_ratios",
+                            lambda space, concept: calls.append(concept) or original(space, concept))
+        space, sport = community
+        assert not verify_equivalence(space, sport, builtin("not_small"), TH_COMMUNITY,
+                                      Fraction("0.5"), Fraction("0.1"))
+        assert calls == [sport]
+
+    def test_first_difference_names_the_block(self, community):
+        space, sport = community
+        tp = linguistic_regions(space, sport, builtin("not_small"), TH_COMMUNITY)
+        assert first_difference(tp, Thresholds(Fraction("0.3"), Fraction("0.1"))) is None
+        idx = first_difference(tp, Thresholds(Fraction("0.5"), Fraction("0.1")))
+        assert space.labels[idx] == "C3"
+        assert tp.block_regions[idx] == "pos"
+
+    @given(spaces_with_concepts(), SWEEP_EXPRESSIONS, threshold_pairs(), st.data())
+    def test_matches_the_two_table_route(self, space_concept, expr, thresholds, data):
+        space, concept = space_concept
+        candidates = candidate_thresholds(space.block_ratios(concept).values())
+        beta_p, alpha_p = sorted(data.draw(
+            st.lists(st.sampled_from(candidates), min_size=2, max_size=2, unique=True)))
+        reference = linguistic_regions(space, concept, expr, thresholds).same_regions(
+            probabilistic_regions(space, concept, Thresholds(alpha_p, beta_p)))
+        assert verify_equivalence(space, concept, expr, thresholds, alpha_p, beta_p) == reference
 
 
 class TestSweep:

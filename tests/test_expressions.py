@@ -84,6 +84,19 @@ class TestBuiltins:
     def test_matches_exact_oracle(self, name, x):
         assert builtin(name).evaluate(x) == pytest.approx(float(ORACLES[name](x)), abs=TOL_FORMULA)
 
+    @pytest.mark.parametrize("name, peak, owner", [
+        ("not_small", Fraction(4, 25), "quad_up"),
+        ("very_big", Fraction("0.895"), "quad_down"),
+        ("extremely_big", Fraction("0.95"), "quad_down"),
+    ])
+    def test_peak_belongs_to_its_piece(self, name, peak, owner):
+        # the two pieces meet at the peak only within the oracle's tolerance,
+        # so the owner is pinned exactly
+        expr = builtin(name)
+        piece = next(seg for seg in expr.segments if seg.form == owner)
+        assert piece.contains(peak)
+        assert expr.evaluate(peak) == piece.value(peak)
+
 
 class TestEvaluate:
     def test_published_spot_values(self):

@@ -248,6 +248,12 @@ class TestCsv:
         with pytest.raises(DataError, match=f"line 3 has {fields} fields; the header has 3"):
             load_table(str(path))
 
+    def test_repeated_header_column(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("id,g,g,x\na,1,2,1\nb,1,3,0\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"dup\.csv header repeats the column\(s\) 'g'$"):
+            load_table(str(path))
+
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "latin.csv"
         path.write_bytes(b"user,community,sport\nu1,C1,1\nu2,Caf\xe9,0\n")
