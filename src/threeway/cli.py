@@ -13,7 +13,8 @@ deterministic byte-for-byte for a fixed input and configuration.
 Every subcommand builds the linguistic tri-partition once, warns on stderr
 when alpha or beta equals an attained degree, and works from that block
 table: ``verify`` reads the probe's regions off the same ratios and names the
-first block where the two routes differ.
+first block where the two routes differ.  The four ``--format`` commands
+print a report or a sweep result through one writer, :func:`emit`.
 
 Exit codes: 0 success (for ``verify``: tri-partitions coincide), 1 ``verify``
 mismatch, 2 configuration error, 3 data error, 4 non-monotone expression
@@ -131,11 +132,12 @@ def warn_on_threshold_ties(tp: TriPartition, thresholds: Thresholds) -> None:
             )
 
 
-def emit(report: xp.AnalysisReport, fmt: str) -> None:
+def emit(result, fmt: str) -> None:
+    """Print a result (a report or a sweep) through its ``to_json_dict`` or ``to_text``."""
     if fmt == "json":
-        click.echo(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+        click.echo(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
     else:
-        click.echo(report.to_text(), nl=False)
+        click.echo(result.to_text(), nl=False)
 
 
 def _fail(code: int, message: str) -> None:
@@ -239,28 +241,7 @@ def verify(tp, expr, thresholds, concept, prob_alpha, prob_beta) -> None:
 @analysis_command(format_option)
 def sweep(tp, expr, thresholds, concept, fmt) -> None:
     """Brute-force verdict table over every decision-relevant candidate pair."""
-    result = eq.sweep_of(tp)
-    if fmt == "json":
-        payload = {
-            "candidates": [float(c) for c in result.candidates],
-            "verdicts": [
-                {
-                    "alpha": float(entry.alpha),
-                    "beta": float(entry.beta),
-                    "equivalent": entry.equivalent,
-                }
-                for entry in result.entries
-            ],
-        }
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
-        return
-    click.echo(f"{len(result.candidates)} candidate values, {len(result.entries)} pairs")
-    for entry in result.entries:
-        mark = "=" if entry.equivalent else "x"
-        click.echo(
-            f"  {mark} alpha'={eq.format_endpoint(entry.alpha)} "
-            f"beta'={eq.format_endpoint(entry.beta)}"
-        )
+    emit(eq.sweep_of(tp), fmt)
 
 
 if __name__ == "__main__":  # pragma: no cover

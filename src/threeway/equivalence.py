@@ -45,9 +45,10 @@ pair of these c <= 2k + 1 candidates (k distinct ratios) on the same block
 table, never on element sets: each attained ratio's wanted region is its
 block's region.  The result is two verdict vectors, one over alpha' and one
 over beta'; the pair table (one verdict per beta' < alpha') is a view derived
-on first read.  The sweep reads no bound and no interval and assumes no
-monotonicity; for an increasing expression its table must match the
-intervals on every pair.  :func:`sweep_equivalence_oracle` builds the
+on first read, and the text and JSON forms are rendered from the vectors, row
+by row in the same pair order.  The sweep reads no bound and no interval and
+assumes no monotonicity; for an increasing expression its table must match
+the intervals on every pair.  :func:`sweep_equivalence_oracle` builds the
 tri-partition and delegates.
 """
 
@@ -323,14 +324,30 @@ class SweepResult:
     alpha_ok: tuple[bool, ...]
     beta_ok: tuple[bool, ...]
 
+    def _rows(self):
+        """Row a holds the verdicts at (candidates[a], candidates[b]) for every b < a, in order."""
+        for a, ok in enumerate(self.alpha_ok):
+            yield a, self.beta_ok[:a] if ok else (False,) * a
+
     @cached_property
     def entries(self) -> tuple[SweepEntry, ...]:
         """The verdict of every pair, alpha'-major, built on first read."""
-        return tuple(
-            SweepEntry(alpha_p, self.candidates[b], ok and self.beta_ok[b])
-            for a, (alpha_p, ok) in enumerate(zip(self.candidates, self.alpha_ok))
-            for b in range(a)
-        )
+        c = self.candidates
+        return tuple(SweepEntry(c[a], beta_p, ok) for a, row in self._rows() for beta_p, ok in zip(c, row))
+
+    def to_json_dict(self) -> dict:
+        values = [float(c) for c in self.candidates]
+        return {"candidates": values,
+                "verdicts": [{"alpha": values[a], "beta": beta_p, "equivalent": ok}
+                             for a, row in self._rows() for beta_p, ok in zip(values, row)]}
+
+    def to_text(self) -> str:
+        shown = [format_endpoint(c) for c in self.candidates]
+        lines = [f"{len(shown)} candidate values, {len(shown) * (len(shown) - 1) // 2} pairs\n"]
+        for a, row in self._rows():  # one string per alpha' row, not one per pair
+            lines.append("".join(f"  {'=' if ok else 'x'} alpha'={shown[a]} beta'={beta_p}\n"
+                                 for beta_p, ok in zip(shown, row)))
+        return "".join(lines)
 
     def agrees_with(self, equivalence: ThresholdEquivalence) -> bool:
         """True when every verdict matches the interval characterization.

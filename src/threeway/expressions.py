@@ -147,11 +147,10 @@ class Segment:
 
     def _check_range(self) -> None:
         # Quadratics are monotone away from their vertex, so the extremes on
-        # [lo, hi] occur at the endpoints or at the vertex if it is interior.
-        probes = [float(self.lo), float(self.hi)]
-        if self.form != "const" and float(self.lo) < self.a < float(self.hi):
-            probes.append(self.a)
-        for x in probes:
+        # [lo, hi] occur at the endpoints or at an interior vertex; the vertex
+        # value is exactly 0 (quad_up) or 1 (quad_down), inside [0, 1], so only
+        # the endpoints are probed (a NaN ``d`` fails there too).
+        for x in (float(self.lo), float(self.hi)):
             try:
                 v = self.value(x)
             except OverflowError:  # the square of a huge coefficient

@@ -208,16 +208,18 @@ def concept_from_column(rows: Sequence[Row], column: str, id_column: Optional[st
     if id_column is None:
         id_column = next(iter(rows[0].keys()))
     members = set()
-    for row in rows:
-        if column not in row:
-            raise DataError(f"unknown column {column!r}")
-        word = row[column].strip().lower()
-        if word in _TRUE_WORDS:
-            members.add(row[id_column])
-        elif word not in _FALSE_WORDS:
-            raise DataError(
-                f"column {column!r} is not boolean: {row[column]!r} for {row[id_column]!r}"
-            )
+    try:
+        rows[0][id_column]  # an unknown id column is refused even when no row is a member
+        for row in rows:
+            word = row[column].strip().lower()
+            if word in _TRUE_WORDS:
+                members.add(row[id_column])
+            elif word not in _FALSE_WORDS:
+                raise DataError(
+                    f"column {column!r} is not boolean: {row[column]!r} for {row[id_column]!r}"
+                )
+    except KeyError as exc:
+        raise DataError(f"unknown column {exc.args[0]!r}") from None
     return Concept(frozenset(members), label=column)
 
 

@@ -21,6 +21,11 @@ from test_expressions import MEDIUM_HUMP, SMALL_LIKE
 
 SAMPLE_CSV = Path(__file__).resolve().parent.parent / "sample_data" / "communities.csv"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+# Sample fixtures captured with another --expr than not_small; delta:0.5 empties the boundary.
+FIXTURE_EXPRESSIONS = {
+    "equivalence_coupled_sample.txt": "delta:0.5",
+    "equivalence_coupled_sample.json": "delta:0.5",
+}
 
 BASE = [
     "--input", str(SAMPLE_CSV),
@@ -293,8 +298,12 @@ class TestEquivalenceCommand:
                         "--alpha", "0.8", "--beta", "0.2", "--format", "json")
         assert result.exit_code == 0
         assert json.loads(result.output)["equivalence"]["sweep_agrees"] is True
-        assert len(sweeps) == 1
-        assert "entries" not in sweeps[0].__dict__
+        for fmt in ("json", "text"):
+            result = invoke(runner, "sweep", *BASE, "--expr", "not_small",
+                            "--alpha", "0.8", "--beta", "0.2", "--format", fmt)
+            assert result.exit_code == 0
+        assert len(sweeps) == 3
+        assert not any("entries" in sweep.__dict__ for sweep in sweeps)
 
 
 class TestVerifyCommand:
@@ -399,6 +408,32 @@ class TestSharedOptions:
         assert "hobbies" in result.stderr
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("override, file_content, code, message", [
+        (("--alpha", "1.5"), None, 2, "--alpha must lie in [0, 1], got 1.5"),
+        (("--concept", "ids:"), None, 2, "empty id list in --concept"),
+        (("--key", ","), None, 2, "--key needs at least one column name"),
+        (("--input", "{path}"), "", 3, "has no header row"),
+        (("--expr", "file:{path}"), json.dumps({"name": "e", "segments": [1]}), 2,
+         "segment 0 must be an object"),
+        (("--expr", "file:{path}"), json.dumps(
+            {**expression_to_json_dict(builtin("not_small")), "declared_monotone": "yes"}), 2,
+         "'declared_monotone' must be a boolean when present"),
+    ], ids=["alpha_out_of_range", "empty_id_list", "empty_key", "empty_csv",
+            "segment_not_an_object", "declared_monotone_not_boolean"])
+    def test_exit_code_and_message(self, runner, tmp_path, override, file_content, code, message):
+        path = tmp_path / "input"
+        if file_content is not None:
+            path.write_text(file_content, encoding="utf-8")
+        args = {"--input": str(SAMPLE_CSV), "--key": "community", "--concept": "sport",
+                "--expr": "not_small", "--alpha": "0.8", "--beta": "0.2"}
+        args[override[0]] = override[1].format(path=path)
+        result = runner.invoke(main, ["regions", *(x for pair in args.items() for x in pair)])
+        assert result.exit_code == code
+        assert "error: " in result.stderr and message in result.stderr
+        assert "Traceback" not in result.output
+
+
 class TestSweepCommand:
     def test_table_size(self, runner):
         result = invoke(runner, "sweep", *BASE, "--expr", "not_small",
@@ -446,10 +481,13 @@ class TestGoldenOutput:
         ("bounds", "json", "bounds_sample.json"),
         ("bounds", "text", "bounds_sample.txt"),
         ("equivalence", "text", "equivalence_sample.txt"),
+        ("equivalence", "text", "equivalence_coupled_sample.txt"),
+        ("equivalence", "json", "equivalence_coupled_sample.json"),
         ("sweep", "text", "sweep_sample.txt"),
     ])
     def test_sample_byte_identical(self, runner, command, fmt, fixture):
-        result = invoke(runner, command, *BASE, "--expr", "not_small",
+        expr = FIXTURE_EXPRESSIONS.get(fixture, "not_small")
+        result = invoke(runner, command, *BASE, "--expr", expr,
                         "--alpha", "0.8", "--beta", "0.2", "--format", fmt)
         assert result.exit_code == 0
         assert result.stdout_bytes == (FIXTURES / fixture).read_bytes()
@@ -474,7 +512,9 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("command, digest", [
         ("regions", "d42ccd2dde4a8de2b0589705be1c77cec03fc3e50210435dc122f59b9d152a91"),
+        ("bounds", "43dcebf3224ef6172bbaa51ebc0dc1ee2c8927ced7ffadc58d6eb9404dab2a31"),
         ("equivalence", "e5f63d22ef5b0581bc125addb83a6f8f5dc59246665c856d8dc052ebe91971bf"),
+        ("sweep", "1f86a36220be90122d17e479c9a2ccf9087cb1503d34b23a500592c79da3deea"),
     ])
     def test_seeded_table_text_digest(self, runner, tmp_path, command, digest):
         assert seeded_table_digest(runner, tmp_path, command, "text") == digest

@@ -308,6 +308,13 @@ class TestValidation:
         with pytest.raises(ExpressionError, match="leaves"):
             seg(0, True, 1, True, "quad_up", a=0.0, d=0.5)
 
+    @pytest.mark.parametrize("form, vertex_value", [("quad_up", 0.0), ("quad_down", 1.0)])
+    def test_interior_vertex_accepted(self, form, vertex_value):
+        # The vertex value is exactly 0 or 1, so only the endpoints can leave [0, 1].
+        piece = seg(0.25, True, 0.75, True, form, a=0.5, d=0.5)
+        assert piece.value(Fraction(1, 2)) == vertex_value
+        assert piece.value(Fraction(1, 4)) == piece.value(Fraction(3, 4))
+
     def test_bad_form_rejected(self):
         with pytest.raises(ExpressionError, match="unknown segment form"):
             seg(0, True, 1, True, "linear", a=0.0, d=1.0)

@@ -292,3 +292,15 @@ class TestCsv:
         rows = [{"id": "a", "flag": "1"}]
         with pytest.raises(DataError, match="unknown column 'sport'"):
             concept_from_column(rows, "sport")
+
+    def test_unknown_id_column(self):
+        rows = community_rows()
+        with pytest.raises(DataError, match="unknown column 'nope'") as built:
+            from_attribute_table(rows, ["community"], "nope")
+        with pytest.raises(DataError) as read:
+            concept_from_column(rows, "sport", "nope")
+        assert str(read.value) == str(built.value)
+
+    def test_unknown_id_column_without_members(self):
+        with pytest.raises(DataError, match="unknown column 'nope'"):
+            concept_from_column([{"id": "a", "flag": "0"}], "flag", "nope")
