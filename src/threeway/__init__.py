@@ -3,10 +3,11 @@
 A universe with an equivalence partition is split into acceptance, rejection,
 and non-commitment regions, either directly from inclusion ratios
 (conditional probabilities) or through an evaluative linguistic expression.
-For increasing expressions the library reconstructs exactly which
-probabilistic threshold pairs reproduce the linguistic regions, checks the
-answer against a brute-force sweep, and renders plain-language explanations
-for every assignment.
+Whenever the attained ratios stay ordered by region (always, for an increasing
+expression) the library reconstructs exactly which probabilistic threshold
+pairs reproduce the linguistic regions, checks the answer against a
+brute-force sweep, and renders plain-language explanations for every
+assignment.
 """
 
 from .equivalence import (

@@ -17,9 +17,9 @@ first block where the two routes differ.  The four ``--format`` commands
 print a report or a sweep result through one writer, :func:`emit`.
 
 Exit codes: 0 success (for ``verify``: tri-partitions coincide), 1 ``verify``
-mismatch, 2 configuration error, 3 data error, 4 non-monotone expression
-where an increasing one is required, 5 degenerate tri-partition (two or more
-empty regions).
+mismatch, 2 configuration error, 3 data error, 4 a higher attained ratio lands
+in a lower region (no probabilistic pair reproduces the regions), 5 degenerate
+tri-partition (two or more empty regions).
 """
 
 from __future__ import annotations

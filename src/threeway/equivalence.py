@@ -1,7 +1,7 @@
 """Region bounds and the threshold pairs under which both region routes agree.
 
-Given a linguistic tri-partition built from an increasing expression, the
-inclusion ratios attained inside each region pin down four bounds:
+Given a linguistic tri-partition, the inclusion ratios attained inside each
+region pin down four bounds:
 
 * ``neg_max``  - highest ratio in the negative region,
 * ``bnd_min``  - lowest ratio in the boundary region,
@@ -9,7 +9,8 @@ inclusion ratios attained inside each region pin down four bounds:
 * ``pos_min``  - lowest ratio in the positive region,
 
 each absent exactly when its region is empty.  With all three regions
-non-empty and the expression increasing they interleave strictly:
+non-empty and the attained ratios ordered by region (as an increasing
+expression always leaves them) they interleave strictly:
 ``0 <= neg_max < bnd_min <= bnd_max < pos_min <= 1``.
 
 Those bounds characterize every probabilistic threshold pair (alpha', beta')
@@ -20,10 +21,13 @@ that reproduces the linguistic regions exactly:
 * negative empty:         beta' in [0, bnd_min),  alpha' in (bnd_max, pos_min];
 * positive empty:         beta' in [neg_max, bnd_min),  alpha' in (bnd_max, 1].
 
-Two or more empty regions is rejected as degenerate, and so is an expression
-that passes the grid scan but puts a higher attained ratio in a lower region
-(:class:`NonMonotoneExpressionError`, naming both blocks): no probabilistic
-pair can reproduce such regions.  Everything is exact: ratios, interval
+Two or more empty regions is rejected as degenerate
+(:class:`DegenerateRegionsError`), and regions where a higher attained ratio
+lands in a lower region are refused (:class:`NonMonotoneExpressionError`,
+naming both blocks): no probabilistic pair can reproduce them.  That exact
+check on the attained ratios is the only monotonicity gate; the expression is
+never scanned, so a non-increasing one whose ratios stay ordered by region is
+characterized like any other.  Everything is exact: ratios, interval
 endpoints, and the open/closed flags all live in rational arithmetic, because
 the content of the characterization is precisely which endpoints are attained.
 
@@ -47,8 +51,8 @@ block's region.  The result is two verdict vectors, one over alpha' and one
 over beta'; the pair table (one verdict per beta' < alpha') is a view derived
 on first read, and the text and JSON forms are rendered from the vectors, row
 by row in the same pair order.  The sweep reads no bound and no interval and
-assumes no monotonicity; for an increasing expression its table must match
-the intervals on every pair.  :func:`sweep_equivalence_oracle` builds the
+assumes no monotonicity; wherever the intervals are given, its table must
+match them on every pair.  :func:`sweep_equivalence_oracle` builds the
 tri-partition and delegates.
 """
 
@@ -60,13 +64,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .expressions import Numeric, StepExpr, is_increasing
+from .expressions import Numeric, StepExpr
 from .regions import Thresholds, TriPartition, linguistic_regions, region_of_degree
 from .spaces import ApproximationSpace, Concept
 
 
 class NonMonotoneExpressionError(ValueError):
-    """The expression failed the increasing-function requirement."""
+    """A higher attained ratio lands in a lower region; no probabilistic pair reproduces them."""
 
 
 class DegenerateRegionsError(ValueError):
@@ -193,9 +197,10 @@ def _bounds_from(extremes: _Extremes) -> RegionBounds:
 def _check_interleaving(extremes: _Extremes, space: ApproximationSpace, expr) -> None:
     """Refuse unless the non-empty regions' ratios are ordered neg < bnd < pos.
 
-    The grid scan can pass an expression that still drops between two
-    attained ratios; then a higher ratio lands in a lower region, and no
-    probabilistic pair (which orders blocks by ratio) reproduces the regions.
+    An expression that drops between two attained ratios (a hump, or a
+    built-in's rounding dip, which a grid scan misses) can put a higher ratio
+    in a lower region; then no probabilistic pair (which orders blocks by
+    ratio) reproduces the regions.
     """
     present = [name for name in ("neg", "bnd", "pos") if name in extremes]
     for lower, upper in zip(present, present[1:]):
@@ -249,17 +254,12 @@ def equivalent_threshold_intervals(
 def intervals_of(tp: TriPartition, expr) -> ThresholdEquivalence:
     """The equivalent probabilistic threshold pairs of a tri-partition built through ``expr``.
 
-    Raises :class:`NonMonotoneExpressionError` when the expression fails the
-    grid monotonicity scan or, having passed it, puts a higher attained ratio
-    in a lower region (the error names both blocks), and
-    :class:`DegenerateRegionsError` when two or more regions of the
-    tri-partition are empty.  The scan runs first.
+    Raises :class:`DegenerateRegionsError` when two or more regions of the
+    tri-partition are empty, and otherwise :class:`NonMonotoneExpressionError`
+    when a higher attained ratio lands in a lower region (the error names both
+    blocks).  The expression is only named, never evaluated: whether it is
+    increasing elsewhere does not matter.
     """
-    if not is_increasing(expr):
-        raise NonMonotoneExpressionError(
-            f"expression {getattr(expr, 'name', expr)!r} is not increasing; "
-            "the interval characterization only covers increasing expressions"
-        )
     empty = tp.empty_regions
     if len(empty) >= 2:
         present = next(name for name in ("pos", "neg", "bnd") if name not in empty)

@@ -17,12 +17,13 @@ downward jumps (depth ~2.6e-4 at 0.16 for "not small", ~1.0e-3 at 0.895 for
 ``is_increasing`` therefore samples a grid; at the coarsest permitted step
 (1e-3) each dip is smaller than a single-step rise and all built-ins classify
 as increasing.  Two distinct block ratios can only straddle one of those dip
-windows when a block has more than ~88 elements.
+windows when a block has more than ~88 elements; the interval
+characterization then refuses on the attained ratios, which it checks
+exactly, and never consults the scan.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -282,20 +283,12 @@ def is_increasing(expr, grid_step: Numeric = DEFAULT_GRID_STEP) -> bool:
     reading of ``grid_step`` (0 < h <= 1/1000).  A sample may fall below its
     predecessor by at most ``MONOTONE_SLACK``.
 
-    Verdicts are memoized per (expression, h) in a bounded cache, since an
-    expression's evaluation is pure and the scan costs ~1,000 evaluations; an
-    unhashable expression is scanned on every call.
+    Every call scans afresh (1,001 evaluations at the default step).  It backs
+    ``declared_monotone``; the interval characterization does not call it.
     """
     step = as_exact(grid_step, "grid_step")
     if not 0 < step <= Fraction(1, 1000):
         raise ValueError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
-    try:
-        return _scan_increasing_cached(expr, step)
-    except TypeError:  # an unhashable expression cannot key the cache
-        return _scan_increasing(expr, step)
-
-
-def _scan_increasing(expr, step: Fraction) -> bool:
     prev = None
     x = Fraction(0)
     while True:
@@ -306,9 +299,6 @@ def _scan_increasing(expr, step: Fraction) -> bool:
         if x == 1:
             return True
         x = min(x + step, Fraction(1))
-
-
-_scan_increasing_cached = functools.lru_cache(maxsize=256)(_scan_increasing)
 
 
 def _nu(name: str, a: str, b: str, c: str, d_rise: float, d_fall: float,
@@ -347,7 +337,8 @@ def builtin(name: str) -> EvalExpr:
         ) from None
 
 
-#: Fuzzy-quantifier reading of specific expressions; only these four carry one.
+#: Fuzzy-quantifier reading of the built-ins; the crisp cutoff at 1 reads as
+#: "all" (see :func:`quantifier_for`), and no other expression carries one.
 QUANTIFIERS = {
     "not_small": "many",
     "very_big": "most",

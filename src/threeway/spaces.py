@@ -107,12 +107,6 @@ class ApproximationSpace:
 
     # -- queries ------------------------------------------------------------
 
-    def __contains__(self, element: str) -> bool:
-        return element in self._block_of
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def block_index(self, element: str) -> int:
         try:
             return self._block_of[element]

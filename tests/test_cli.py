@@ -21,11 +21,15 @@ from test_expressions import MEDIUM_HUMP, SMALL_LIKE
 
 SAMPLE_CSV = Path(__file__).resolve().parent.parent / "sample_data" / "communities.csv"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
-# Sample fixtures captured with another --expr than not_small; delta:0.5 empties the boundary.
-FIXTURE_EXPRESSIONS = {
-    "equivalence_coupled_sample.txt": "delta:0.5",
-    "equivalence_coupled_sample.json": "delta:0.5",
+HUMP_EXPR = f"file:{FIXTURES / 'medium_hump.json'}"
+# Sample fixtures captured with other (--expr, --alpha, --beta) than (not_small, 0.8, 0.2):
+# delta:0.5 empties the boundary, and the non-increasing hump keeps its ratios in region order.
+FIXTURE_FLAGS = {
+    "equivalence_coupled_sample.txt": ("delta:0.5", "0.8", "0.2"),
+    "equivalence_coupled_sample.json": ("delta:0.5", "0.8", "0.2"),
+    "equivalence_hump_sample.txt": (HUMP_EXPR, "0.5", "0.1"),
 }
+EVERYONE = "ids:" + ",".join(f"u{i}" for i in range(1, 33))
 
 BASE = [
     "--input", str(SAMPLE_CSV),
@@ -214,12 +218,25 @@ class TestEquivalenceCommand:
                         "--alpha", "0.8", "--beta", "0.2")
         assert result.exit_code == 4
         assert "not increasing" in result.stderr
+        assert result.stderr.count("block '") == 2
 
     def test_degenerate_exits_5(self, runner):
-        everyone = "ids:" + ",".join(f"u{i}" for i in range(1, 33))
-        result = invoke(runner, "equivalence", *BASE[:-1], everyone,
+        result = invoke(runner, "equivalence", *BASE[:-1], EVERYONE,
                         "--expr", "not_small", "--alpha", "0.8", "--beta", "0.2")
         assert result.exit_code == 5
+
+    def test_degenerate_non_increasing_exits_5(self, runner, tmp_path):
+        # degeneracy is checked first; a non-increasing expression is no reason to exit 4
+        path = tmp_path / "small_like.json"
+        path.write_text(json.dumps(expression_to_json_dict(SMALL_LIKE)), encoding="utf-8")
+        result = invoke(runner, "equivalence", *BASE[:-1], EVERYONE,
+                        "--expr", f"file:{path}", "--alpha", "0.8", "--beta", "0.2")
+        assert result.exit_code == 5
+        assert "only the 'neg' region is non-empty" in result.stderr
+
+    def test_hump_fixture_is_medium_hump(self):
+        path = FIXTURES / "medium_hump.json"
+        assert json.loads(path.read_text(encoding="utf-8")) == expression_to_json_dict(MEDIUM_HUMP)
 
     def test_custom_expression_file_round_trips(self, runner, tmp_path):
         path = tmp_path / "not_small.json"
@@ -483,14 +500,24 @@ class TestGoldenOutput:
         ("equivalence", "text", "equivalence_sample.txt"),
         ("equivalence", "text", "equivalence_coupled_sample.txt"),
         ("equivalence", "json", "equivalence_coupled_sample.json"),
+        ("equivalence", "text", "equivalence_hump_sample.txt"),
         ("sweep", "text", "sweep_sample.txt"),
     ])
     def test_sample_byte_identical(self, runner, command, fmt, fixture):
-        expr = FIXTURE_EXPRESSIONS.get(fixture, "not_small")
+        expr, alpha, beta = FIXTURE_FLAGS.get(fixture, ("not_small", "0.8", "0.2"))
         result = invoke(runner, command, *BASE, "--expr", expr,
-                        "--alpha", "0.8", "--beta", "0.2", "--format", fmt)
+                        "--alpha", alpha, "--beta", beta, "--format", fmt)
         assert result.exit_code == 0
         assert result.stdout_bytes == (FIXTURES / fixture).read_bytes()
+        assert result.stderr_bytes == b""
+
+    def test_hump_verify_coincides(self, runner):
+        # a pair inside the hump fixture's intervals, checked by the direct route
+        result = invoke(runner, "verify", *BASE, "--expr", HUMP_EXPR,
+                        "--alpha", "0.5", "--beta", "0.1",
+                        "--prob-alpha", "0.3", "--prob-beta", "0.15")
+        assert result.exit_code == 0
+        assert result.stdout_bytes == b"tri-partitions coincide\n"
         assert result.stderr_bytes == b""
 
     def test_verify_mismatch_byte_identical(self, runner):

@@ -443,16 +443,31 @@ class TestSweep:
     @settings(max_examples=50)
     @given(
         large_block_instances(),
-        st.sampled_from([builtin(name) for name in BUILTIN_NAMES]),
+        st.sampled_from([builtin(name) for name in BUILTIN_NAMES] + [MEDIUM_HUMP, SMALL_LIKE]),
         st.one_of(st.just(DIP_THRESHOLDS), threshold_pairs()),
     )
     def test_large_blocks_refuse_or_agree(self, space_concept, expr, thresholds):
+        # the non-increasing expressions may also empty two regions
         space, concept = space_concept
         try:
             equivalence = equivalent_threshold_intervals(space, concept, expr, thresholds)
-        except NonMonotoneExpressionError:
+        except (NonMonotoneExpressionError, DegenerateRegionsError):
             return
         assert sweep_equivalence_oracle(space, concept, expr, thresholds).agrees_with(equivalence)
+
+    @given(shared_ratio_instances(), SWEEP_EXPRESSIONS, threshold_pairs())
+    def test_refusal_means_no_pair_works(self, space_concept, expr, thresholds):
+        # whether the expression is increasing plays no part: only region order does
+        space, concept = space_concept
+        sweep = sweep_equivalence_oracle(space, concept, expr, thresholds)
+        try:
+            equivalence = equivalent_threshold_intervals(space, concept, expr, thresholds)
+        except DegenerateRegionsError:
+            return
+        except NonMonotoneExpressionError:
+            assert sweep.admitted() == ()
+            return
+        assert sweep.agrees_with(equivalence)
 
 
 class TestAgreesWith:

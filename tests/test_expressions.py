@@ -219,20 +219,26 @@ class TestMonotonicity:
         ok = EvalExpr("fine", builtin("not_small").segments, declared_monotone=True)
         assert ok.declared_monotone is True
 
-    def test_false_declaration_rejected_on_cached_verdict(self):
-        # the second construction finds the first one's verdict in the cache
+    def test_false_declaration_rejected_on_every_construction(self):
+        # each construction scans the segments again
         for _ in range(2):
             with pytest.raises(ExpressionError, match="declared"):
-                EvalExpr("cached_claim", MEDIUM_HUMP.segments, declared_monotone=True)
+                EvalExpr("false_claim", MEDIUM_HUMP.segments, declared_monotone=True)
 
-    def test_verdict_memoized_per_expression_and_step(self):
+    def test_scan_cost_per_call(self):
+        # the intervals evaluate the expression once per block (6 here) and
+        # never scan it; each is_increasing call scans the whole grid
         expr = CountingIdentity()
-        assert is_increasing(expr)
-        assert expr.calls == 1001
+        space, sport = community_instance()
+        th = Thresholds(Fraction("0.8"), Fraction("0.2"))
+        for calls in (6, 12):
+            equivalent_threshold_intervals(space, sport, expr, th)
+            assert expr.calls == calls
+        expr.calls = 0
         assert is_increasing(expr) and is_increasing(expr, 0.001)
-        assert expr.calls == 1001
+        assert expr.calls == 2 * 1001
         assert is_increasing(expr, Fraction(1, 2000))
-        assert expr.calls == 1001 + 2001
+        assert expr.calls == 2 * 1001 + 2001
 
     def test_unhashable_expression_scanned_every_call(self):
         expr = UnhashableIdentity()
@@ -265,6 +271,19 @@ class UnhashableIdentity(CountingIdentity):
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UnhashableIdentity)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: as_exact(None), "value must be a number, got None"),
+        (lambda: seg(0.5, True, 0.5, True, "const", c=0.0),
+         "segment bounds must satisfy 0 <= lo < hi <= 1"),
+        (lambda: EvalExpr("e", ()), "an expression needs at least one segment"),
+    ], ids=["as_exact_none", "empty_segment", "no_segments"])
+    def test_typed_error_and_message(self, build, message):
+        with pytest.raises(ExpressionError) as info:
+            build()
+        assert message in str(info.value)
 
 
 class TestValidation:

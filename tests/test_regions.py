@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from threeway import (
     Concept,
     IdentityExpr,
+    RoughSetPair,
     StepExpr,
     Thresholds,
     ThresholdError,
@@ -249,6 +250,19 @@ class TestRoughSets:
         pair = rough_set_from_tripartition(tp)
         assert pair.lower == block_union(space, "C2")
         assert pair.upper == block_union(space, "C2", "C3")
+
+
+class TestRefusals:
+    def test_lower_outside_upper_refused(self):
+        with pytest.raises(ValueError, match="lower approximation must be a subset of the upper"):
+            RoughSetPair({"a"}, set())
+
+    @pytest.mark.parametrize("other", [3, None, "pos"])
+    def test_equality_with_another_type_is_false(self, community, other):
+        space, sport = community
+        tp = probabilistic_regions(space, sport, Thresholds(Fraction("0.8"), Fraction("0.2")))
+        assert (tp == other) is False
+        assert (tp != other) is True
 
 
 class TestPawlak:

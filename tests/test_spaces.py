@@ -156,6 +156,19 @@ class TestSpaceValidation:
             space.check_concept(Concept(frozenset({"u1", "ghost"})))
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ApproximationSpace(["a", "b"], [["a"], ["b"]], labels=["A"]),
+         "one label per block is required"),
+        (lambda: from_attribute_table(community_rows(), []), "at least one key column is required"),
+        (lambda: concept_from_column([], "x"), "the table is empty"),
+    ], ids=["labels_short", "no_key_column", "concept_from_empty_table"])
+    def test_typed_error_and_message(self, build, message):
+        with pytest.raises(DataError) as info:
+            build()
+        assert message in str(info.value)
+
+
 class TestRelativeCardinality:
     def test_empty_part_measures_zero(self):
         space, _ = community_instance()
