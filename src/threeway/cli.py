@@ -19,13 +19,16 @@ print a report or a sweep result through one writer, :func:`emit`.
 Exit codes: 0 success (for ``verify``: tri-partitions coincide), 1 ``verify``
 mismatch, 2 configuration error, 3 data error, 4 a higher attained ratio lands
 in a lower region (no probabilistic pair reproduces the regions), 5 degenerate
-tri-partition (two or more empty regions).
+tri-partition (two or more empty regions).  A run whose stdout has no reader
+is killed by SIGPIPE, as ``cat`` is (141 in a shell), with no ``error:`` line.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
+import signal
 import sys
 from fractions import Fraction
 
@@ -100,24 +103,23 @@ def parse_decimal(raw: str, what: str) -> Fraction:
     return value
 
 
-def parse_concept(rows, concept_spec: str, id_column: str) -> Concept:
+def parse_concept(rows, concept_spec: str) -> Concept:
     """``--concept`` is a boolean column name or ``ids:a,b,c``."""
     if concept_spec.startswith("ids:"):
         members = [m for m in concept_spec[4:].split(",") if m]
         if not members:
             raise ConfigError("empty id list in --concept")
         return Concept(frozenset(members), label="concept")
-    return concept_from_column(rows, concept_spec, id_column)
+    return concept_from_column(rows, concept_spec)
 
 
 def load_inputs(input_path: str, key: str, concept_spec: str):
     rows = load_table(input_path)
-    id_column = next(iter(rows[0].keys()))
     key_columns = [c.strip() for c in key.split(",") if c.strip()]
     if not key_columns:
         raise ConfigError("--key needs at least one column name")
-    space = from_attribute_table(rows, key_columns, id_column)
-    concept = space.check_concept(parse_concept(rows, concept_spec, id_column))
+    space = from_attribute_table(rows, key_columns)
+    concept = space.check_concept(parse_concept(rows, concept_spec))
     return space, concept
 
 
@@ -181,6 +183,9 @@ def analysis_command(*extra_options):
                 tp = linguistic_regions(space, concept, expr, thresholds)
                 warn_on_threshold_ties(tp, thresholds)
                 body(tp, expr, thresholds, concept, **extra)
+            except BrokenPipeError:  # stdout closed: end as SIGPIPE ends `cat`, not as a data error
+                signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+                os.kill(os.getpid(), signal.SIGPIPE)
             except (ConfigError, ThresholdError, ExpressionError, DomainError) as exc:
                 _fail(EXIT_CONFIG, str(exc))
             except (DataError, OSError) as exc:

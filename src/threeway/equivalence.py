@@ -64,7 +64,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .expressions import Numeric, StepExpr
+from .expressions import Numeric, StepExpr, display_name
 from .regions import Thresholds, TriPartition, linguistic_regions, region_of_degree
 from .spaces import ApproximationSpace, Concept
 
@@ -208,7 +208,7 @@ def _check_interleaving(extremes: _Extremes, space: ApproximationSpace, expr) ->
         bottom_ratio, bottom_idx = extremes[upper][0]
         if top_ratio >= bottom_ratio:
             raise NonMonotoneExpressionError(
-                f"expression {getattr(expr, 'name', expr)!r} is not increasing on the "
+                f"expression {display_name(expr)!r} is not increasing on the "
                 f"attained ratios: block {space.labels[top_idx]!r} (ratio "
                 f"{format_endpoint(top_ratio)}) is in the {lower!r} region but block "
                 f"{space.labels[bottom_idx]!r} (ratio {format_endpoint(bottom_ratio)}) "

@@ -1,15 +1,16 @@
 """Plain-language explanations of region assignments.
 
-Each element's (or block's) assignment is rendered through a fixed sentence
-template.  Expressions that carry a fuzzy-quantifier reading get quantifier
-wording ("many members of C2 are in sport"); every other expression is named
-verbatim.  Degrees appear with two decimals in prose and at full precision in
-the JSON form.  Everything here is pure formatting over immutable inputs.
+One function words a block: from a tri-partition, an expression, a block
+index, a subject and the concept's label it builds the :class:`Explanation`
+(decision, degree, sentence).  :func:`explain_element` calls it at the
+element's block, and a report's text lines and JSON ``blocks`` at each block.
+An expression with a fuzzy-quantifier reading is worded by it ("many members
+of C2 are in sport"), any other by its display name.  Degrees appear with two
+decimals in prose and at full precision in the JSON form.
 
 A report is the tri-partition it describes plus what was derived from it
-(bounds, intervals, the sweep's verdict).  Each block line, the region sizes
-and the notes are rendered from the block table when the report is; only the
-JSON form reads the element view (``regions``), so text output builds no
+(bounds, intervals, the sweep's verdict), rendered from the block table; only
+the JSON form reads the element view (``regions``), so text output builds no
 element set.
 """
 
@@ -20,7 +21,7 @@ from enum import Enum
 from typing import Optional
 
 from .equivalence import RegionBounds, SweepResult, ThresholdEquivalence, format_endpoint
-from .expressions import quantifier_for
+from .expressions import display_name, quantifier_for
 from .regions import REGION_NAMES, Thresholds, TriPartition
 from .spaces import Concept
 
@@ -48,43 +49,23 @@ class Explanation:
     quantifier: Optional[str] = None
 
 
-def _sentence(
-    subject: str,
-    block: str,
-    concept_label: str,
-    quantifier: Optional[str],
-    expr_name: str,
-    degree: float,
-    decision: Decision,
-) -> str:
+def _explain(tp: TriPartition, expr, index: int, subject: str, concept_label: str) -> Explanation:
+    """Block ``index``'s decision, degree and sentence, said of ``subject``."""
+    decision = _DECISION_BY_REGION[tp.block_regions[index]]
+    degree = float(tp.block_degrees[index])
+    block = tp.space.labels[index]
+    quantifier = quantifier_for(expr)
     if quantifier is not None:
         clause = f"{quantifier} members of {block} are in {concept_label}"
     else:
-        clause = (
-            f"the share of {block} members in {concept_label} counts as '{expr_name}'"
-        )
-    return f"The degree to which {clause} is {degree:.2f}, so {subject} is {decision.value}."
+        clause = f"the share of {block} members in {concept_label} counts as '{display_name(expr)}'"
+    sentence = f"The degree to which {clause} is {degree:.2f}, so {subject} is {decision.value}."
+    return Explanation(subject, block, decision, degree, sentence, quantifier)
 
 
 def explain_element(tp: TriPartition, expr, element: str, concept_label: str) -> Explanation:
     """Explain one element's assignment in the given tri-partition."""
-    index = tp.space.block_index(element)
-    region = tp.block_regions[index]
-    degree = float(tp.block_degrees[index])
-    block = tp.space.labels[index]
-    quantifier = quantifier_for(expr)
-    sentence = _sentence(
-        element, block, concept_label, quantifier,
-        getattr(expr, "name", str(expr)), degree, _DECISION_BY_REGION[region],
-    )
-    return Explanation(
-        element=element,
-        block=block,
-        region=_DECISION_BY_REGION[region],
-        degree=degree,
-        sentence=sentence,
-        quantifier=quantifier,
-    )
+    return _explain(tp, expr, tp.space.block_index(element), element, concept_label)
 
 
 #: The report's notes on empty regions, in the order they are printed.
@@ -109,7 +90,7 @@ class AnalysisReport:
 
     @property
     def expression_name(self) -> str:
-        return getattr(self.expr, "name", str(self.expr))
+        return display_name(self.expr)
 
     @property
     def region_sizes(self) -> dict[str, int]:
@@ -126,17 +107,10 @@ class AnalysisReport:
             notes.append(f"equivalence case: {self.equivalence.case.value}")
         return tuple(notes)
 
-    def _blocks(self):
-        """Each block's label, elements, ratio, float degree, region and sentence."""
-        space, tp = self.tp.space, self.tp
-        quantifier, name = quantifier_for(self.expr), self.expression_name
-        for label, block, ratio, degree, region in zip(
-            space.labels, space.blocks, tp.ratios, tp.block_degrees, tp.block_regions
-        ):
-            degree = float(degree)
-            sentence = _sentence(label, label, self.concept_label, quantifier, name, degree,
-                                 _DECISION_BY_REGION[region])
-            yield label, block, ratio, degree, region, sentence
+    def _explanations(self) -> list[Explanation]:
+        """Each block's explanation, the block said of itself, indexed like the block table."""
+        return [_explain(self.tp, self.expr, index, label, self.concept_label)
+                for index, label in enumerate(self.tp.space.labels)]
 
     def to_text(self) -> str:
         lines = [
@@ -145,13 +119,14 @@ class AnalysisReport:
             f"thresholds: alpha={self.thresholds.alpha}, beta={self.thresholds.beta}",
             "",
         ]
-        for label, block, ratio, degree, region, sentence in self._blocks():
+        tp = self.tp
+        for index, why in enumerate(self._explanations()):
             lines.append(
-                f"block {label} ({len(block)} elements): "
-                f"ratio {format_endpoint(ratio)}, degree {degree:.4g}, "
-                f"region {_REGION_WORD[region]}"
+                f"block {why.block} ({len(tp.space.blocks[index])} elements): "
+                f"ratio {format_endpoint(tp.ratios[index])}, degree {why.degree:.4g}, "
+                f"region {_REGION_WORD[tp.block_regions[index]]}"
             )
-            lines.append(f"  {sentence}")
+            lines.append(f"  {why.sentence}")
         lines.append("")
         sizes = self.region_sizes
         lines.append(
@@ -173,6 +148,7 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
+        tp = self.tp
         data: dict = {
             "concept": self.concept_label,
             "expression": self.expression_name,
@@ -180,18 +156,18 @@ class AnalysisReport:
             "beta": float(self.thresholds.beta),
             "blocks": [
                 {
-                    "label": label,
-                    "elements": list(block),
-                    "ratio": float(ratio),
-                    "degree": degree,
-                    "region": region,
-                    "sentence": sentence,
+                    "label": why.block,
+                    "elements": list(tp.space.blocks[index]),
+                    "ratio": float(tp.ratios[index]),
+                    "degree": why.degree,
+                    "region": tp.block_regions[index],
+                    "sentence": why.sentence,
                 }
-                for label, block, ratio, degree, region, sentence in self._blocks()
+                for index, why in enumerate(self._explanations())
             ],
             "region_sizes": self.region_sizes,
             "notes": list(self.notes),
-            "regions": self.tp.to_json_dict(),
+            "regions": tp.to_json_dict(),
         }
         if self.bounds is not None:
             data["bounds"] = {

@@ -69,11 +69,12 @@ def as_exact(value: Numeric | str, what: str = "value") -> Fraction:
     Strings and floats are read as the decimal they display as
     (``as_exact("0.4") == as_exact(0.4) == Fraction(2, 5)``), which is what a
     human writing ``0.4`` means; ints and Fractions pass through unchanged.
-    Literals past :data:`MAX_LITERAL_CHARS` or :data:`MAX_EXPONENT_DIGITS` are refused.
+    Booleans are refused, though Python counts them as ints, and so are
+    literals past :data:`MAX_LITERAL_CHARS` or :data:`MAX_EXPONENT_DIGITS`.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float) or isinstance(value, str):
         text = str(value)
@@ -346,6 +347,12 @@ QUANTIFIERS = {
 }
 
 
+def display_name(expr) -> str:
+    """How output names an expression: its ``name`` when it has one, else ``str(expr)``."""
+    name = getattr(expr, "name", None)
+    return str(expr) if name is None else name
+
+
 def quantifier_for(expr) -> Optional[str]:
     """The quantifier an expression corresponds to, if it has one.
 
@@ -382,14 +389,12 @@ def expression_to_json_dict(expr: EvalExpr) -> dict:
 
 
 def _coefficient(raw: dict, name: str, default: float, index: int) -> float:
-    """A segment's ``a``/``d``/``c`` as a float; a boolean or non-numeric value is refused."""
-    value = raw.get(name, default)
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ExpressionError(f"segment {index} {name} must be a number, got {value!r}")
+    """A segment's ``a``/``d``/``c``: a number by :func:`as_exact`'s rule that fits a float."""
+    what = f"segment {index} {name}"
+    try:
+        return float(as_exact(raw.get(name, default), what))
+    except OverflowError:  # an integer literal past the float range
+        raise ExpressionError(f"{what} is too large for a float") from None
 
 
 def expression_from_json_dict(data: dict) -> EvalExpr:

@@ -154,6 +154,13 @@ class ApproximationSpace:
 Row = Mapping[str, str]
 
 
+def _id_column(rows: Sequence[Row], id_column: Optional[str]) -> str:
+    """The element id column: ``id_column`` if given, else the table's first column."""
+    if not rows:
+        raise DataError("the table is empty")
+    return next(iter(rows[0])) if id_column is None else id_column
+
+
 def from_attribute_table(
     rows: Sequence[Row],
     key_columns: Sequence[str],
@@ -165,24 +172,18 @@ def from_attribute_table(
     tuples are equal.  Block labels are the joined key values, so a single
     "community" column yields block labels like ``C3``.
     """
-    if not rows:
-        raise DataError("the table is empty")
+    id_column = _id_column(rows, id_column)
     if not key_columns:
         raise DataError("at least one key column is required")
-    if id_column is None:
-        id_column = next(iter(rows[0].keys()))
     elements: list[str] = []
     groups: dict[tuple[str, ...], list[str]] = {}
-    for row in rows:
-        if id_column not in row:
-            raise DataError(f"unknown column {id_column!r}")
-        element = row[id_column]
-        for col in key_columns:
-            if col not in row:
-                raise DataError(f"unknown column {col!r}")
-        elements.append(element)
-        key = tuple(row[col] for col in key_columns)
-        groups.setdefault(key, []).append(element)
+    try:
+        for row in rows:
+            element = row[id_column]  # the id column is looked up before the key columns
+            elements.append(element)
+            groups.setdefault(tuple(row[col] for col in key_columns), []).append(element)
+    except KeyError as exc:
+        raise DataError(f"unknown column {exc.args[0]!r}") from None
     keys = list(groups)
     return ApproximationSpace(
         elements,
@@ -197,10 +198,7 @@ _FALSE_WORDS = {"0", "false", "no", "n", ""}
 
 def concept_from_column(rows: Sequence[Row], column: str, id_column: Optional[str] = None) -> Concept:
     """Read a concept from a boolean column of the table."""
-    if not rows:
-        raise DataError("the table is empty")
-    if id_column is None:
-        id_column = next(iter(rows[0].keys()))
+    id_column = _id_column(rows, id_column)
     members = set()
     try:
         rows[0][id_column]  # an unknown id column is refused even when no row is a member

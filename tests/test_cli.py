@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +25,7 @@ from test_expressions import MEDIUM_HUMP, SMALL_LIKE
 
 SAMPLE_CSV = Path(__file__).resolve().parent.parent / "sample_data" / "communities.csv"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 HUMP_EXPR = f"file:{FIXTURES / 'medium_hump.json'}"
 # Sample fixtures captured with other (--expr, --alpha, --beta) than (not_small, 0.8, 0.2):
 # delta:0.5 empties the boundary, and the non-increasing hump keeps its ratios in region order.
@@ -30,12 +35,20 @@ FIXTURE_FLAGS = {
     "equivalence_hump_sample.txt": (HUMP_EXPR, "0.5", "0.1"),
 }
 EVERYONE = "ids:" + ",".join(f"u{i}" for i in range(1, 33))
+PROBE = {"--prob-alpha": "0.3", "--prob-beta": "0.1"}  # a pair that reproduces (0.8, 0.2)
 
 BASE = [
     "--input", str(SAMPLE_CSV),
     "--key", "community",
     "--concept", "sport",
 ]
+
+
+def with_segment_0(**fields) -> dict:
+    """``not_small``'s JSON form with ``fields`` overriding its first segment's."""
+    data = expression_to_json_dict(builtin("not_small"))
+    data["segments"][0].update(fields)
+    return data
 
 
 @pytest.fixture
@@ -280,7 +293,8 @@ class TestEquivalenceCommand:
              "form": "quad_up", "a": 1e200, "d": 1}]}),
          "segment [0, 1] leaves [0, 1]: value inf at x=0"),
         ("[" * 200_000, "nests arrays or objects too deeply"),
-    ], ids=["overflowing_coefficient", "deep_nesting"])
+        (json.dumps(with_segment_0(a=10**400)), "segment 0 a is too large for a float"),
+    ], ids=["overflowing_coefficient", "deep_nesting", "integer_past_float_range"])
     def test_expression_file_past_python_limits_exits_2(self, runner, tmp_path, content, message):
         path = tmp_path / "expr.json"
         path.write_text(content, encoding="utf-8")
@@ -436,19 +450,53 @@ class TestRefusals:
         (("--expr", "file:{path}"), json.dumps(
             {**expression_to_json_dict(builtin("not_small")), "declared_monotone": "yes"}), 2,
          "'declared_monotone' must be a boolean when present"),
+        (("--expr", "file:{path}"), json.dumps(with_segment_0(lo=False)), 2,
+         "segment 0 lo must be a number, got False"),
+        (("--expr", "file:{path}"), json.dumps(with_segment_0(hi=True)), 2,
+         "segment 0 hi must be a number, got True"),
+        (("--prob-beta", "0.3"), None, 2, "--prob-beta must be strictly below --prob-alpha"),
+        (("--prob-alpha", "1.5"), None, 2, "--prob-alpha must lie in [0, 1], got 1.5"),
     ], ids=["alpha_out_of_range", "empty_id_list", "empty_key", "empty_csv",
-            "segment_not_an_object", "declared_monotone_not_boolean"])
+            "segment_not_an_object", "declared_monotone_not_boolean",
+            "boolean_lo", "boolean_hi", "probe_beta_not_below_alpha", "probe_alpha_out_of_range"])
     def test_exit_code_and_message(self, runner, tmp_path, override, file_content, code, message):
         path = tmp_path / "input"
         if file_content is not None:
             path.write_text(file_content, encoding="utf-8")
         args = {"--input": str(SAMPLE_CSV), "--key": "community", "--concept": "sport",
                 "--expr": "not_small", "--alpha": "0.8", "--beta": "0.2"}
+        command = "verify" if override[0] in PROBE else "regions"
+        if command == "verify":
+            args.update(PROBE)
         args[override[0]] = override[1].format(path=path)
-        result = runner.invoke(main, ["regions", *(x for pair in args.items() for x in pair)])
+        result = runner.invoke(main, [command, *(x for pair in args.items() for x in pair)])
         assert result.exit_code == code
         assert "error: " in result.stderr and message in result.stderr
         assert "Traceback" not in result.output
+
+
+class TestClosedStdout:
+    """A run whose stdout has no reader ends by SIGPIPE, as ``cat`` does, not as a data error."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("verify", ("--prob-alpha", "0.3", "--prob-beta", "0.1")),  # a coinciding pair
+        ("regions", ()),
+    ])
+    def test_killed_by_sigpipe(self, command, extra):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child writes a byte
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "threeway.cli", command, *BASE, "--expr", "not_small",
+                 "--alpha", "0.8", "--beta", "0.2", *extra],
+                stdout=write_end, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == -signal.SIGPIPE
+        assert b"error:" not in done.stderr and b"Broken pipe" not in done.stderr
 
 
 class TestSweepCommand:

@@ -12,6 +12,7 @@ from threeway import (
     AnalysisReport,
     Decision,
     DataError,
+    NonMonotoneExpressionError,
     StepExpr,
     Thresholds,
     builtin,
@@ -95,6 +96,53 @@ class TestExplainElement:
         explanation = explain_element(tp, expr, "u6", "X")
         assert explanation.quantifier == "all"
         assert "all members of C2" in explanation.sentence
+
+
+class NamedOnly:
+    """A duck-typed expression with a name and a ``repr`` that must never be read."""
+
+    name = "share itself"
+
+    def evaluate(self, x):
+        return float(x)
+
+    def __repr__(self):
+        raise AssertionError("the repr of a named expression was rendered")
+
+
+class Nameless:
+    """A duck-typed expression with no ``name``: output names it by ``str``."""
+
+    def evaluate(self, x):
+        return 1 - float(x)  # decreasing: a higher ratio lands in a lower region
+
+    def __str__(self):
+        return "one minus the share"
+
+
+class TestDisplayName:
+    def test_named_expression_is_never_repr_rendered(self, community):
+        space, sport = community
+        expr = NamedOnly()
+        tp = linguistic_regions(space, sport, expr, TH)
+        wording = "counts as 'share itself'"
+        assert wording in explain_element(tp, expr, "u7", "sport").sentence
+        result = report(tp, expr, TH, sport)
+        assert "expression: share itself" in result.to_text()
+        assert result.to_text().count(wording) == len(space.blocks)
+        data = result.to_json_dict()
+        assert data["expression"] == "share itself"
+        assert all(wording in block["sentence"] for block in data["blocks"])
+
+    def test_nameless_expression_named_by_str(self, community):
+        space, sport = community
+        expr = Nameless()
+        tp = linguistic_regions(space, sport, expr, TH)
+        assert "counts as 'one minus the share'" in explain_element(tp, expr, "u7", "sport").sentence
+        assert report(tp, expr, TH, sport).expression_name == "one minus the share"
+        with pytest.raises(NonMonotoneExpressionError,
+                           match="^expression 'one minus the share' is not increasing"):
+            equivalent_threshold_intervals(space, sport, expr, TH)
 
 
 class TestReport:

@@ -279,7 +279,9 @@ class TestRefusals:
         (lambda: seg(0.5, True, 0.5, True, "const", c=0.0),
          "segment bounds must satisfy 0 <= lo < hi <= 1"),
         (lambda: EvalExpr("e", ()), "an expression needs at least one segment"),
-    ], ids=["as_exact_none", "empty_segment", "no_segments"])
+        (lambda: as_exact(True), "value must be a number, got True"),
+        (lambda: StepExpr(False), "cutoff must be a number, got False"),
+    ], ids=["as_exact_none", "empty_segment", "no_segments", "as_exact_bool", "step_cutoff_bool"])
     def test_typed_error_and_message(self, build, message):
         with pytest.raises(ExpressionError) as info:
             build()

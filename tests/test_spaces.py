@@ -314,6 +314,10 @@ class TestCsv:
             concept_from_column(rows, "sport", "nope")
         assert str(read.value) == str(built.value)
 
+    def test_unknown_id_column_named_before_key_columns(self):
+        with pytest.raises(DataError, match="unknown column 'nope'"):
+            from_attribute_table(community_rows(), ["tribe"], "nope")
+
     def test_unknown_id_column_without_members(self):
         with pytest.raises(DataError, match="unknown column 'nope'"):
             concept_from_column([{"id": "a", "flag": "0"}], "flag", "nope")
