@@ -19,8 +19,10 @@ print a report or a sweep result through one writer, :func:`emit`.
 Exit codes: 0 success (for ``verify``: tri-partitions coincide), 1 ``verify``
 mismatch, 2 configuration error, 3 data error, 4 a higher attained ratio lands
 in a lower region (no probabilistic pair reproduces the regions), 5 degenerate
-tri-partition (two or more empty regions).  A run whose stdout has no reader
-is killed by SIGPIPE, as ``cat`` is (141 in a shell), with no ``error:`` line.
+tri-partition (two or more empty regions), 70 internal error (any other
+exception: a bug, reported with its traceback on stderr).  A run whose stdout
+has no reader is killed by SIGPIPE, as ``cat`` is (141 in a shell), with no
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NON_MONOTONE = 4
 EXIT_DEGENERATE = 5
+EXIT_INTERNAL = 70  # EX_SOFTWARE in sysexits.h
+
+EXPRESSION_FORMS = " | ".join((*BUILTIN_NAMES, "delta:<t>", "identity", "file:<path>"))
 
 
 class ConfigError(ValueError):
@@ -87,17 +92,11 @@ def parse_expression(spec: str):
             raise ConfigError(f"cannot read expression file {path}: {exc.strerror}") from None
         except ExpressionError as exc:
             raise ConfigError(f"bad expression file {path}: {exc}") from exc
-    raise ConfigError(
-        f"unknown expression {spec!r}; expected one of "
-        f"{' | '.join(BUILTIN_NAMES)} | delta:<t> | identity | file:<path>"
-    )
+    raise ConfigError(f"unknown expression {spec!r}; expected one of {EXPRESSION_FORMS}")
 
 
 def parse_decimal(raw: str, what: str) -> Fraction:
-    try:
-        value = as_exact(raw, what)
-    except ExpressionError as exc:
-        raise ConfigError(str(exc)) from exc
+    value = as_exact(raw, what)
     if not 0 <= value <= 1:
         raise ConfigError(f"{what} must lie in [0, 1], got {raw}")
     return value
@@ -151,7 +150,7 @@ SHARED_OPTIONS = (
     click.option("--input", "input_path", required=True, help="CSV file; first column is the element id."),
     click.option("--key", required=True, help="comma-separated key column(s) defining the partition"),
     click.option("--concept", "concept_spec", required=True, help="boolean column name, or ids:a,b,c"),
-    click.option("--expr", "expr_spec", required=True, help="not_small | very_big | extremely_big | delta:<t> | identity | file:<path>"),
+    click.option("--expr", "expr_spec", required=True, help=EXPRESSION_FORMS),
     click.option("--alpha", required=True, help="acceptance threshold in [0, 1]"),
     click.option("--beta", required=True, help="rejection threshold in [0, 1], below alpha"),
 )
@@ -170,7 +169,8 @@ def analysis_command(*extra_options):
     expression, alpha, beta).  The linguistic tri-partition is built from them
     once and checked for threshold ties, then the function is called as
     ``body(tp, expr, thresholds, concept, **extra)``.  Every library error
-    raised on the way maps to its exit code.
+    raised on the way maps to its exit code; any other exception is a bug, and
+    ends with its traceback and exit 70.
     """
 
     def register(body):
@@ -194,6 +194,10 @@ def analysis_command(*extra_options):
                 _fail(EXIT_NON_MONOTONE, str(exc))
             except eq.DegenerateRegionsError as exc:
                 _fail(EXIT_DEGENERATE, str(exc))
+            except Exception:  # not an input or configuration fault, so not exit 1-5
+                import traceback  # imported here, so start-up does not pay for it
+                traceback.print_exc()
+                sys.exit(EXIT_INTERNAL)
 
         for option in reversed(SHARED_OPTIONS + extra_options):
             command = option(command)

@@ -352,16 +352,13 @@ class SweepResult:
     def agrees_with(self, equivalence: ThresholdEquivalence) -> bool:
         """True when every verdict matches the interval characterization.
 
-        Equal to testing ``equivalence.admits`` per entry: sorted candidates make
-        b < a imply beta' < alpha', so row a is ``beta_ok[:a]`` or all false.
+        Equal to testing ``equivalence.admits`` per entry: the intervals' own
+        verdict vectors over the same candidates give the same rows.
         """
-        alpha_eq = tuple(map(equivalence.alpha_interval.contains, self.candidates))
-        beta_eq = tuple(map(equivalence.beta_interval.contains, self.candidates))
-        all_false = (False,) * len(self.candidates)
-        return all(
-            (self.beta_ok if ok else all_false)[:a] == (beta_eq if eq_ok else all_false)[:a]
-            for a, (ok, eq_ok) in enumerate(zip(self.alpha_ok, alpha_eq))
-        )
+        c = self.candidates
+        stated = SweepResult(c, tuple(map(equivalence.alpha_interval.contains, c)),
+                             tuple(map(equivalence.beta_interval.contains, c)))
+        return all(row == stated_row for row, stated_row in zip(self._rows(), stated._rows()))
 
     def admitted(self) -> tuple[SweepEntry, ...]:
         return tuple(e for e in self.entries if e.equivalent)

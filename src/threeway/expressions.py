@@ -50,8 +50,6 @@ _RANGE_SLOP = 1e-9
 MAX_LITERAL_CHARS = 100
 MAX_EXPONENT_DIGITS = 3
 
-BUILTIN_NAMES = ("not_small", "very_big", "extremely_big")
-
 SEGMENT_FORMS = ("const", "quad_up", "quad_down")
 
 
@@ -318,11 +316,13 @@ def _nu(name: str, a: str, b: str, c: str, d_rise: float, d_fall: float,
     ))
 
 
-_BUILTINS = {e.name: e for e in (
-    _nu("not_small", "0.0745", "0.16", "0.275", 0.01714, 0.02305, b_in_rise=True),
-    _nu("very_big", "0.83", "0.895", "0.9575", 0.00828, 0.00796),
-    _nu("extremely_big", "0.885", "0.95", "0.995", 0.00715, 0.00495),
+#: Each built-in with its fuzzy-quantifier reading (see :func:`quantifier_for`).
+_BUILTINS = {e.name: (e, word) for e, word in (
+    (_nu("not_small", "0.0745", "0.16", "0.275", 0.01714, 0.02305, b_in_rise=True), "many"),
+    (_nu("very_big", "0.83", "0.895", "0.9575", 0.00828, 0.00796), "most"),
+    (_nu("extremely_big", "0.885", "0.95", "0.995", 0.00715, 0.00495), "almost all"),
 )}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str) -> EvalExpr:
@@ -331,20 +331,11 @@ def builtin(name: str) -> EvalExpr:
     Valid names: ``not_small``, ``very_big``, ``extremely_big``.
     """
     try:
-        return _BUILTINS[name]
+        return _BUILTINS[name][0]
     except KeyError:
         raise ExpressionError(
             f"unknown built-in expression {name!r}; choose from {', '.join(BUILTIN_NAMES)}"
         ) from None
-
-
-#: Fuzzy-quantifier reading of the built-ins; the crisp cutoff at 1 reads as
-#: "all" (see :func:`quantifier_for`), and no other expression carries one.
-QUANTIFIERS = {
-    "not_small": "many",
-    "very_big": "most",
-    "extremely_big": "almost all",
-}
 
 
 def display_name(expr) -> str:
@@ -356,12 +347,14 @@ def display_name(expr) -> str:
 def quantifier_for(expr) -> Optional[str]:
     """The quantifier an expression corresponds to, if it has one.
 
-    The three built-ins read as "many" / "most" / "almost all"; the crisp
+    The three built-ins read as "many" / "most" / "almost all" (a custom
+    expression that only borrows a built-in's name does not); the crisp
     cutoff at 1 reads as "all".  Everything else returns None.
     """
     if isinstance(expr, StepExpr):
         return "all" if expr.cutoff == 1 else None
-    return QUANTIFIERS.get(getattr(expr, "name", None))
+    entry = _BUILTINS.get(getattr(expr, "name", None))
+    return entry[1] if entry is not None and entry[0] == expr else None
 
 
 # ---------------------------------------------------------------------------

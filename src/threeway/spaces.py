@@ -9,7 +9,9 @@ ties.  Spaces are immutable after construction and safe to share.
 A partition can be given explicitly (a list of blocks) or derived from an
 attribute table: two elements share a block exactly when their key-column
 tuples are equal.  Both paths normalize to the same canonical form, blocks
-ordered by their lexicographically smallest element.
+ordered by their lexicographically smallest element, each label kept with its
+block.  One column reader takes a table's id column and the requested columns
+as lists, and refuses an empty table or an unknown column in one place.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -79,15 +82,10 @@ class ApproximationSpace:
         raw_blocks = [tuple(sorted(b)) for b in blocks]
         if labels is not None and len(labels) != len(raw_blocks):
             raise DataError("one label per block is required")
-        order = sorted(range(len(raw_blocks)), key=lambda i: raw_blocks[i][0] if raw_blocks[i] else "")
-        raw_blocks = [raw_blocks[i] for i in order]
-        if labels is None:
-            labels = [f"B{i + 1}" for i in range(len(raw_blocks))]
-        else:
-            labels = [labels[i] for i in order]
+        pairs = sorted(zip(raw_blocks, labels or [None] * len(raw_blocks)), key=itemgetter(0))
 
         seen: dict[str, int] = {}
-        for idx, block in enumerate(raw_blocks):
+        for idx, (block, _) in enumerate(pairs):
             if not block:
                 raise DataError("partition blocks must be non-empty")
             for e in block:
@@ -101,8 +99,8 @@ class ApproximationSpace:
             raise DataError(f"partition does not cover: {', '.join(missing)}")
 
         self.elements: tuple[str, ...] = elements
-        self.blocks: tuple[tuple[str, ...], ...] = tuple(raw_blocks)
-        self.labels: tuple[str, ...] = tuple(labels)
+        self.blocks: tuple[tuple[str, ...], ...] = tuple(block for block, _ in pairs)
+        self.labels: tuple[str, ...] = tuple(f"B{i + 1}" if label is None else label for i, (_, label) in enumerate(pairs))
         self._block_of: dict[str, int] = seen
 
     # -- queries ------------------------------------------------------------
@@ -154,11 +152,19 @@ class ApproximationSpace:
 Row = Mapping[str, str]
 
 
-def _id_column(rows: Sequence[Row], id_column: Optional[str]) -> str:
-    """The element id column: ``id_column`` if given, else the table's first column."""
+def _read_columns(rows: Sequence[Row], id_column: Optional[str], columns: Sequence[str]) -> list[list[str]]:
+    """The id column (``id_column``, else the table's first), then each of ``columns``, as lists.
+
+    The id column is read first, so an unknown one is named before any other.
+    """
     if not rows:
         raise DataError("the table is empty")
-    return next(iter(rows[0])) if id_column is None else id_column
+    if id_column is None:
+        id_column = next(iter(rows[0]))
+    try:
+        return [list(map(itemgetter(column), rows)) for column in (id_column, *columns)]
+    except KeyError as exc:
+        raise DataError(f"unknown column {exc.args[0]!r}") from None
 
 
 def from_attribute_table(
@@ -172,24 +178,13 @@ def from_attribute_table(
     tuples are equal.  Block labels are the joined key values, so a single
     "community" column yields block labels like ``C3``.
     """
-    id_column = _id_column(rows, id_column)
-    if not key_columns:
+    elements, *keys = _read_columns(rows, id_column, key_columns)
+    if not keys:
         raise DataError("at least one key column is required")
-    elements: list[str] = []
     groups: dict[tuple[str, ...], list[str]] = {}
-    try:
-        for row in rows:
-            element = row[id_column]  # the id column is looked up before the key columns
-            elements.append(element)
-            groups.setdefault(tuple(row[col] for col in key_columns), []).append(element)
-    except KeyError as exc:
-        raise DataError(f"unknown column {exc.args[0]!r}") from None
-    keys = list(groups)
-    return ApproximationSpace(
-        elements,
-        [groups[k] for k in keys],
-        labels=[",".join(k) for k in keys],
-    )
+    for element, key in zip(elements, zip(*keys)):
+        groups.setdefault(key, []).append(element)
+    return ApproximationSpace(elements, groups.values(), labels=[",".join(k) for k in groups])
 
 
 _TRUE_WORDS = {"1", "true", "yes", "y"}
@@ -198,20 +193,16 @@ _FALSE_WORDS = {"0", "false", "no", "n", ""}
 
 def concept_from_column(rows: Sequence[Row], column: str, id_column: Optional[str] = None) -> Concept:
     """Read a concept from a boolean column of the table."""
-    id_column = _id_column(rows, id_column)
-    members = set()
-    try:
-        rows[0][id_column]  # an unknown id column is refused even when no row is a member
-        for row in rows:
-            word = row[column].strip().lower()
-            if word in _TRUE_WORDS:
-                members.add(row[id_column])
-            elif word not in _FALSE_WORDS:
-                raise DataError(
-                    f"column {column!r} is not boolean: {row[column]!r} for {row[id_column]!r}"
-                )
-    except KeyError as exc:
-        raise DataError(f"unknown column {exc.args[0]!r}") from None
+    elements, values = _read_columns(rows, id_column, [column])
+    true_values = set()
+    for value in dict.fromkeys(values):  # each distinct value once, in row order
+        word = value.strip().lower()
+        if word in _TRUE_WORDS:
+            true_values.add(value)
+        elif word not in _FALSE_WORDS:
+            first = elements[values.index(value)]
+            raise DataError(f"column {column!r} is not boolean: {value!r} for {first!r}")
+    members = {e for e, value in zip(elements, values) if value in true_values}
     return Concept(frozenset(members), label=column)
 
 

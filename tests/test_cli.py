@@ -260,6 +260,16 @@ class TestEquivalenceCommand:
         assert result.exit_code == 0
         assert "alpha' in (1/5 ≈ 0.2, 2/5 ≈ 0.4]" in result.output
 
+    def test_a_borrowed_builtin_name_keeps_the_shape_wording(self, runner, tmp_path):
+        path = tmp_path / "not_small.json"
+        path.write_text(json.dumps({**expression_to_json_dict(MEDIUM_HUMP), "name": "not_small"}),
+                        encoding="utf-8")
+        result = invoke(runner, "regions", *BASE, "--expr", f"file:{path}",
+                        "--alpha", "0.5", "--beta", "0.1")
+        assert result.exit_code == 0
+        assert "the share of C1 members in sport counts as 'not_small'" in result.output
+        assert "many members" not in result.output
+
     def test_dip_between_attained_ratios_exits_4(self, runner, tmp_path):
         space, concept = dip_instance()
         rows = ["id,group,x"] + [
@@ -431,6 +441,20 @@ class TestSharedOptions:
         assert "--seed" not in result.output
         assert "--alpha" in result.output
 
+    @pytest.mark.parametrize("command", ["regions", "bounds", "equivalence", "verify", "sweep"])
+    def test_expr_help_lists_every_form(self, runner, command):
+        result = invoke(runner, command, "--help")
+        listed = " ".join(result.output.split())
+        for form in ("not_small", "very_big", "extremely_big", "delta:<t>", "identity", "file:<path>"):
+            assert form in listed
+        assert cli_module.EXPRESSION_FORMS in listed
+
+    def test_unknown_expression_names_the_same_forms(self, runner):
+        result = invoke(runner, "regions", *BASE, "--expr", "roughly_big",
+                        "--alpha", "0.8", "--beta", "0.2")
+        assert result.stderr == ("error: unknown expression 'roughly_big'; expected one of "
+                                 "not_small | very_big | extremely_big | delta:<t> | identity | file:<path>\n")
+
     def test_first_bad_flag_decides_the_exit_code(self, runner):
         # a data error on --concept is reported before the bad --expr and --alpha
         result = invoke(runner, "regions", *BASE[:-1], "hobbies",
@@ -473,6 +497,21 @@ class TestRefusals:
         assert result.exit_code == code
         assert "error: " in result.stderr and message in result.stderr
         assert "Traceback" not in result.output
+
+
+class TestInternalError:
+    """An exception no clause expects is a bug: exit 70 with its traceback, not a mismatch's 1."""
+
+    def test_exits_70_with_the_traceback(self, runner, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("stage broke")
+
+        monkeypatch.setattr(cli_module, "linguistic_regions", broken)
+        result = invoke(runner, "verify", *BASE, "--expr", "not_small",
+                        "--alpha", "0.8", "--beta", "0.2", *(x for pair in PROBE.items() for x in pair))
+        assert result.exit_code == 70
+        assert "Traceback" in result.stderr and "RuntimeError: stage broke" in result.stderr
+        assert result.stdout == ""
 
 
 class TestClosedStdout:

@@ -474,3 +474,11 @@ class TestQuantifiers:
     def test_custom_has_none(self):
         assert quantifier_for(SMALL_LIKE) is None
         assert quantifier_for(IdentityExpr()) is None
+
+    def test_a_borrowed_name_reads_as_none(self):
+        assert quantifier_for(EvalExpr("not_small", MEDIUM_HUMP.segments)) is None
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_json_round_trip_keeps_the_quantifier(self, name):
+        loaded = expression_from_json_dict(expression_to_json_dict(builtin(name)))
+        assert quantifier_for(loaded) == quantifier_for(builtin(name)) is not None

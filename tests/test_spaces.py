@@ -119,6 +119,14 @@ class TestPartitionFromAttributes:
         mins = [block[0] for block in space.blocks]
         assert mins == sorted(mins)
 
+    @given(small_spaces(), st.data())
+    def test_labels_stay_with_their_blocks(self, space, data):
+        given_blocks = data.draw(st.permutations([block[::-1] for block in space.blocks]))
+        labels = [f"L{min(block)}" for block in given_blocks]
+        relabelled = ApproximationSpace(space.elements, given_blocks, labels)
+        assert relabelled.blocks == space.blocks
+        assert relabelled.labels == tuple(f"L{block[0]}" for block in space.blocks)
+
 
 class TestSpaceValidation:
     def test_empty_universe(self):
@@ -162,7 +170,13 @@ class TestRefusals:
          "one label per block is required"),
         (lambda: from_attribute_table(community_rows(), []), "at least one key column is required"),
         (lambda: concept_from_column([], "x"), "the table is empty"),
-    ], ids=["labels_short", "no_key_column", "concept_from_empty_table"])
+        (lambda: from_attribute_table([], []), "the table is empty"),
+        (lambda: from_attribute_table([{"id": "a", "k": "1"}, {"id": "b"}], ["k"]),
+         "unknown column 'k'"),
+        (lambda: concept_from_column([{"id": "a", "flag": "1"}, {"id": "b"}], "flag"),
+         "unknown column 'flag'"),
+    ], ids=["labels_short", "no_key_column", "concept_from_empty_table", "space_from_empty_table",
+            "later_row_lacks_key_column", "later_row_lacks_concept_column"])
     def test_typed_error_and_message(self, build, message):
         with pytest.raises(DataError) as info:
             build()
@@ -299,6 +313,12 @@ class TestCsv:
     def test_non_boolean_value(self):
         rows = [{"id": "a", "flag": "maybe"}]
         with pytest.raises(DataError, match="not boolean"):
+            concept_from_column(rows, "flag")
+
+    def test_non_boolean_value_names_its_first_row(self):
+        rows = [{"id": "a", "flag": "1"}, {"id": "b", "flag": "maybe"},
+                {"id": "c", "flag": "perhaps"}, {"id": "d", "flag": "maybe"}]
+        with pytest.raises(DataError, match=r"^column 'flag' is not boolean: 'maybe' for 'b'$"):
             concept_from_column(rows, "flag")
 
     def test_unknown_concept_column(self):
