@@ -1,7 +1,7 @@
 """Region bounds and the threshold pairs under which both region routes agree.
 
 Given a linguistic tri-partition, the inclusion ratios attained inside each
-region pin down four bounds:
+region give four bounds, which :func:`bounds_of` reports:
 
 * ``neg_max``  - highest ratio in the negative region,
 * ``bnd_min``  - lowest ratio in the boundary region,
@@ -13,28 +13,31 @@ non-empty and the attained ratios ordered by region (as an increasing
 expression always leaves them) they interleave strictly:
 ``0 <= neg_max < bnd_min <= bnd_max < pos_min <= 1``.
 
-Those bounds characterize every probabilistic threshold pair (alpha', beta')
-that reproduces the linguistic regions exactly:
+A probabilistic threshold pair (alpha', beta'), beta' < alpha', reproduces
+the linguistic regions exactly when it makes the same two cuts of the block
+table (:func:`intervals_of` reads each interval off one cut):
 
-* all regions non-empty:  alpha' in (bnd_max, pos_min],  beta' in [neg_max, bnd_min);
-* boundary empty:         the coupled constraint neg_max <= beta' < alpha' <= pos_min;
-* negative empty:         beta' in [0, bnd_min),  alpha' in (bnd_max, pos_min];
-* positive empty:         beta' in [neg_max, bnd_min),  alpha' in (bnd_max, 1].
+* beta' separates the ``neg`` blocks from the rest: beta' lies in
+  [highest ``neg`` ratio, lowest ``bnd`` or ``pos`` ratio);
+* alpha' separates the ``pos`` blocks from the rest: alpha' lies in
+  (highest ``neg`` or ``bnd`` ratio, lowest ``pos`` ratio].
+
+An empty side leaves 0 or 1 as that end.  With every region non-empty that
+is alpha' in (bnd_max, pos_min] and beta' in [neg_max, bnd_min); an empty
+boundary makes both cuts the same one, and beta' < alpha' couples the pair
+into neg_max <= beta' < alpha' <= pos_min.
 
 Two or more empty regions is rejected as degenerate
-(:class:`DegenerateRegionsError`), and regions where a higher attained ratio
-lands in a lower region are refused (:class:`NonMonotoneExpressionError`,
-naming both blocks): no probabilistic pair can reproduce them.  That exact
-check on the attained ratios is the only monotonicity gate; the expression is
-never scanned, so a non-increasing one whose ratios stay ordered by region is
-characterized like any other.  Everything is exact: ratios, interval
-endpoints, and the open/closed flags all live in rational arithmetic, because
-the content of the characterization is precisely which endpoints are attained.
-
-The four cases are one rule, read off a tri-partition's block table in one
-pass (:func:`intervals_of`): an absent ``neg_max`` or ``pos_min`` gives way
-to 0 or 1, and an empty boundary to the other two bounds, coupling the pair.
-:func:`bounds_of` reads the same pass; :func:`region_bounds` and
+(:class:`DegenerateRegionsError`).  A cut whose highest block below has a
+ratio at or above its lowest block above is refused
+(:class:`NonMonotoneExpressionError`, naming both blocks, the beta' cut
+checked first): no probabilistic pair can reproduce those regions.  That
+exact check on the attained ratios is the only monotonicity gate; the
+expression is never scanned, so a non-increasing one whose ratios stay
+ordered by region is characterized like any other.  Everything is exact:
+ratios, interval endpoints, and the open/closed flags all live in rational
+arithmetic, because the content of the characterization is precisely which
+endpoints are attained.  :func:`region_bounds` and
 :func:`equivalent_threshold_intervals` build the tri-partition and delegate.
 A probe pair is checked on the same table too: :func:`first_difference` puts
 each block's ratio through the probe (the probabilistic route is the identity
@@ -154,7 +157,10 @@ class ThresholdEquivalence:
     case: EmptinessCase
     alpha_interval: Interval
     beta_interval: Interval
-    coupled: bool
+
+    @property
+    def coupled(self) -> bool:
+        return self.case is EmptinessCase.BND_EMPTY
 
     def admits(self, alpha_p: Numeric, beta_p: Numeric) -> bool:
         return (beta_p < alpha_p and self.alpha_interval.contains(alpha_p)
@@ -176,50 +182,39 @@ class ThresholdEquivalence:
         return f"alpha' in {self.alpha_interval}, beta' in {self.beta_interval}"
 
 
-_Extremes = dict[str, tuple[tuple[Fraction, int], tuple[Fraction, int]]]
+def _cut(tp: TriPartition, expr, upper: tuple[str, ...]):
+    """The highest block below a threshold cut and the lowest above it, each ``(ratio, block index)``.
 
-
-def _extremes(tp: TriPartition) -> _Extremes:
-    """Each non-empty region's lowest and highest ``(ratio, block index)``, in one pass."""
-    extremes: _Extremes = {}
-    for idx, region in enumerate(tp.block_regions):
-        entry = (tp.ratios[idx], idx)
-        low, high = extremes.get(region, (entry, entry))
-        extremes[region] = (min(low, entry), max(high, entry))
-    return extremes
-
-
-def _bounds_from(extremes: _Extremes) -> RegionBounds:
-    ends = (("neg", 1), ("bnd", 0), ("bnd", 1), ("pos", 0))  # 0 lowest, 1 highest
-    return RegionBounds(*(extremes[r][end][0] if r in extremes else None for r, end in ends))
-
-
-def _check_interleaving(extremes: _Extremes, space: ApproximationSpace, expr) -> None:
-    """Refuse unless the non-empty regions' ratios are ordered neg < bnd < pos.
-
-    An expression that drops between two attained ratios (a hump, or a
-    built-in's rounding dip, which a grid scan misses) can put a higher ratio
-    in a lower region; then no probabilistic pair (which orders blocks by
-    ratio) reproduces the regions.
+    The blocks above are those whose region is in ``upper``; a side with no
+    block is None.  On equal ratios the block below is the highest index and
+    the block above the lowest.  Raises :class:`NonMonotoneExpressionError`
+    when the block below has a ratio at or above the block above's: no
+    threshold separates them, as when an expression drops between two
+    attained ratios (a hump, or a built-in's rounding dip a grid scan misses).
     """
-    present = [name for name in ("neg", "bnd", "pos") if name in extremes]
-    for lower, upper in zip(present, present[1:]):
-        top_ratio, top_idx = extremes[lower][1]
-        bottom_ratio, bottom_idx = extremes[upper][0]
-        if top_ratio >= bottom_ratio:
-            raise NonMonotoneExpressionError(
-                f"expression {display_name(expr)!r} is not increasing on the "
-                f"attained ratios: block {space.labels[top_idx]!r} (ratio "
-                f"{format_endpoint(top_ratio)}) is in the {lower!r} region but block "
-                f"{space.labels[bottom_idx]!r} (ratio {format_endpoint(bottom_ratio)}) "
-                f"is in the {upper!r} region; no probabilistic threshold pair "
-                "reproduces these regions"
-            )
+    table = tuple(zip(tp.ratios, range(len(tp.ratios)), tp.block_regions))
+    below = max(((r, i) for r, i, region in table if region not in upper), default=None)
+    above = min(((r, i) for r, i, region in table if region in upper), default=None)
+    if below and above and below[0] >= above[0]:
+        (low_ratio, low), (high_ratio, high) = below, above
+        labels, regions = tp.space.labels, tp.block_regions
+        raise NonMonotoneExpressionError(
+            f"expression {display_name(expr)!r} is not increasing on the "
+            f"attained ratios: block {labels[low]!r} (ratio "
+            f"{format_endpoint(low_ratio)}) is in the {regions[low]!r} region but block "
+            f"{labels[high]!r} (ratio {format_endpoint(high_ratio)}) "
+            f"is in the {regions[high]!r} region; no probabilistic threshold pair "
+            "reproduces these regions"
+        )
+    return below, above
 
 
 def bounds_of(tp: TriPartition) -> RegionBounds:
     """The four extreme ratios of a tri-partition's regions, from its block table."""
-    return _bounds_from(_extremes(tp))
+    neg, bnd, pos = ([r for r, region in zip(tp.ratios, tp.block_regions) if region == name]
+                     for name in ("neg", "bnd", "pos"))
+    return RegionBounds(max(neg, default=None), min(bnd, default=None),
+                        max(bnd, default=None), min(pos, default=None))
 
 
 def region_bounds(
@@ -267,20 +262,12 @@ def intervals_of(tp: TriPartition, expr) -> ThresholdEquivalence:
             f"only the {present!r} region is non-empty (it covers the whole universe); "
             "the threshold characterization needs at least two non-empty regions"
         )
-    extremes = _extremes(tp)
-    _check_interleaving(extremes, tp.space, expr)
-    neg_max, bnd_min, bnd_max, pos_min = _bounds_from(extremes).as_tuple()
-    # One rule for every case: an empty neg or pos region leaves 0 or 1 as
-    # the outer end.  An empty boundary couples the pair into the wedge
-    # neg_max <= beta' < alpha' <= pos_min, stored as its two projections.
-    bnd_empty = bnd_min is None
+    neg_top, rest_bottom = _cut(tp, expr, ("bnd", "pos"))
+    rest_top, pos_bottom = _cut(tp, expr, ("pos",))
     return ThresholdEquivalence(
         case=EmptinessCase(f"{empty[0]}_empty" if empty else "all_nonempty"),
-        alpha_interval=Interval(neg_max if bnd_empty else bnd_max,
-                                Fraction(1) if pos_min is None else pos_min, True, False),
-        beta_interval=Interval(Fraction(0) if neg_max is None else neg_max,
-                               pos_min if bnd_empty else bnd_min, False, True),
-        coupled=bnd_empty,
+        alpha_interval=Interval(rest_top[0], pos_bottom[0] if pos_bottom else Fraction(1), True, False),
+        beta_interval=Interval(neg_top[0] if neg_top else Fraction(0), rest_bottom[0], False, True),
     )
 
 

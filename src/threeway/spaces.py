@@ -160,6 +160,8 @@ def _read_columns(rows: Sequence[Row], id_column: Optional[str], columns: Sequen
     if not rows:
         raise DataError("the table is empty")
     if id_column is None:
+        if not rows[0]:
+            raise DataError("the table has no columns")
         id_column = next(iter(rows[0]))
     try:
         return [list(map(itemgetter(column), rows)) for column in (id_column, *columns)]

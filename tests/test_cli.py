@@ -607,6 +607,14 @@ class TestGoldenOutput:
         assert result.stdout_bytes == b"tri-partitions coincide\n"
         assert result.stderr_bytes == b""
 
+    def test_hump_refusal_byte_identical(self, runner):
+        # at (0.8, 0.2) the hump leaves C5 (4/5) in the boundary above C4 (3/5) in pos
+        result = invoke(runner, "equivalence", *BASE, "--expr", HUMP_EXPR,
+                        "--alpha", "0.8", "--beta", "0.2")
+        assert result.exit_code == 4
+        assert result.stdout_bytes == b""
+        assert result.stderr_bytes == (FIXTURES / "equivalence_hump_refusal.txt").read_bytes()
+
     def test_verify_mismatch_byte_identical(self, runner):
         result = invoke(runner, "verify", *BASE, "--expr", "not_small",
                         "--alpha", "0.8", "--beta", "0.2",

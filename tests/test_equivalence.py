@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from threeway import (
     SweepResult,
     ThresholdError,
     Thresholds,
+    TriPartition,
     builtin,
     candidate_thresholds,
     check_bounds_ordering,
@@ -39,7 +41,8 @@ from threeway import (
     verify_equivalence,
 )
 
-from threeway.equivalence import first_difference, intervals_of
+from threeway.equivalence import first_difference, intervals_of, sweep_of
+from threeway.regions import REGION_NAMES
 
 from conftest import (
     DIP_THRESHOLDS,
@@ -113,6 +116,26 @@ def large_block_instances(draw):
         members.extend(block[:hits])
     elements = [e for block in blocks for e in block]
     return ApproximationSpace(elements, blocks), Concept(frozenset(members))
+
+
+def block_table(ratios, regions) -> TriPartition:
+    """A tri-partition of one-element blocks ``B0``, ``B1``, ... with the given ratios and regions."""
+    ids = [f"e{i}" for i in range(len(ratios))]
+    space = ApproximationSpace(ids, [[e] for e in ids], labels=[f"B{i}" for i in range(len(ids))])
+    return TriPartition(space, tuple(ratios), tuple(ratios), tuple(regions))
+
+
+@st.composite
+def block_tables(draw):
+    """Ratios and regions drawn independently, so no expression filters the region order."""
+    size = draw(st.integers(min_value=1, max_value=7))
+    ratios = st.sampled_from(sorted({Fraction(n, d) for d in range(1, 7) for n in range(d + 1)}))
+    return block_table(draw(st.lists(ratios, min_size=size, max_size=size)),
+                       draw(st.lists(st.sampled_from(REGION_NAMES), min_size=size, max_size=size)))
+
+
+WITNESSES = re.compile(r"block '(B\d+)' \(ratio [^)]*\) is in the '(\w+)' region "
+                       r"but block '(B\d+)' \(ratio [^)]*\) is in the '(\w+)' region")
 
 
 AGREEMENT_CASES = [
@@ -280,6 +303,21 @@ class TestEquivalentIntervals:
         with pytest.raises(NonMonotoneExpressionError,
                            match=r"block 'B' \(ratio 321/2006 .*block 'A' \(ratio 4/25"):
             equivalent_threshold_intervals(space, concept, expr, DIP_THRESHOLDS)
+
+    def test_two_pairs_out_of_order_name_the_beta_cut(self):
+        # neg 1/2 < bnd 3/5 is in order, but both lie above pos 0; the beta' cut
+        # (highest neg block against lowest bnd-or-pos block) is checked first
+        tp = block_table([Fraction(1, 2), Fraction(3, 5), Fraction(0)], ["neg", "bnd", "pos"])
+        with pytest.raises(NonMonotoneExpressionError,
+                           match=r"block 'B0' \(ratio 1/2 ≈ 0\.5\) is in the 'neg' region "
+                                 r"but block 'B2' \(ratio 0\) is in the 'pos' region"):
+            intervals_of(tp, IdentityExpr())
+
+    def test_equal_ratios_name_the_outermost_blocks(self):
+        # below the cut the highest index wins a tie, above it the lowest
+        tp = block_table([Fraction(1, 2)] * 4, ["bnd", "pos", "bnd", "pos"])
+        with pytest.raises(NonMonotoneExpressionError, match=r"block 'B2' .* but block 'B1' "):
+            intervals_of(tp, IdentityExpr())
 
     def test_admitted_pairs_respect_strict_order(self, community):
         space, sport = community
@@ -467,6 +505,35 @@ class TestSweep:
         except NonMonotoneExpressionError:
             assert sweep.admitted() == ()
             return
+        assert sweep.agrees_with(equivalence)
+
+
+class TestArbitraryBlockTables:
+    """Region orders that no expression produces, read off tables built directly."""
+
+    @settings(max_examples=200)
+    @given(block_tables())
+    def test_refuses_or_agrees_with_the_sweep(self, tp):
+        sweep = sweep_of(tp)
+        if len(tp.empty_regions) >= 2:
+            with pytest.raises(DegenerateRegionsError):
+                intervals_of(tp, IdentityExpr())
+            return
+        try:
+            equivalence = intervals_of(tp, IdentityExpr())
+        except NonMonotoneExpressionError as exc:
+            assert sweep.admitted() == ()
+            low, low_region, high, high_region = WITNESSES.search(str(exc)).groups()
+            low, high = int(low[1:]), int(high[1:])
+            assert (tp.block_regions[low], tp.block_regions[high]) == (low_region, high_region)
+            order = ("neg", "bnd", "pos")
+            assert order.index(low_region) < order.index(high_region)
+            assert tp.ratios[low] >= tp.ratios[high]
+            return
+        # a bnd block at ratio 1 with pos empty (or at 0 with neg empty) is not
+        # refused: its interval, (1, 1] or [0, 0), holds no pair, like the sweep
+        hollow = any(i.lo == i.hi for i in (equivalence.alpha_interval, equivalence.beta_interval))
+        assert (sweep.admitted() == ()) == hollow
         assert sweep.agrees_with(equivalence)
 
 

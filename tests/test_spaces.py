@@ -175,8 +175,11 @@ class TestRefusals:
          "unknown column 'k'"),
         (lambda: concept_from_column([{"id": "a", "flag": "1"}, {"id": "b"}], "flag"),
          "unknown column 'flag'"),
+        (lambda: from_attribute_table([{}], ["k"]), "the table has no columns"),
+        (lambda: concept_from_column([{}], "x"), "the table has no columns"),
     ], ids=["labels_short", "no_key_column", "concept_from_empty_table", "space_from_empty_table",
-            "later_row_lacks_key_column", "later_row_lacks_concept_column"])
+            "later_row_lacks_key_column", "later_row_lacks_concept_column",
+            "space_from_columnless_table", "concept_from_columnless_table"])
     def test_typed_error_and_message(self, build, message):
         with pytest.raises(DataError) as info:
             build()
