@@ -31,10 +31,14 @@ Two or more empty regions is rejected as degenerate
 (:class:`DegenerateRegionsError`).  A cut whose highest block below has a
 ratio at or above its lowest block above is refused
 (:class:`NonMonotoneExpressionError`, naming both blocks, the beta' cut
-checked first): no probabilistic pair can reproduce those regions.  That
-exact check on the attained ratios is the only monotonicity gate; the
-expression is never scanned, so a non-increasing one whose ratios stay
-ordered by region is characterized like any other.  Everything is exact:
+checked first): no probabilistic pair can reproduce those regions.  An
+empty side counts as its end, 0 or 1, there too: a block at ratio 0 outside
+an empty ``neg`` region, or at ratio 1 outside an empty ``pos`` region, is
+refused, naming the block and the bound, since every pair puts ratio 0 in
+``neg`` and ratio 1 in ``pos``.  That exact check on the attained ratios is
+the only monotonicity gate; the expression is never scanned, so a
+non-increasing one whose ratios stay ordered by region is characterized like
+any other.  Everything is exact:
 ratios, interval endpoints, and the open/closed flags all live in rational
 arithmetic, because the content of the characterization is precisely which
 endpoints are attained.  :func:`region_bounds` and
@@ -73,7 +77,10 @@ from .spaces import ApproximationSpace, Concept
 
 
 class NonMonotoneExpressionError(ValueError):
-    """A higher attained ratio lands in a lower region; no probabilistic pair reproduces them."""
+    """A higher attained ratio lands in a lower region, or ratio 0 or 1 where no pair puts it.
+
+    Either way no probabilistic pair reproduces the regions.
+    """
 
 
 class DegenerateRegionsError(ValueError):
@@ -185,26 +192,34 @@ class ThresholdEquivalence:
 def _cut(tp: TriPartition, expr, upper: tuple[str, ...]):
     """The highest block below a threshold cut and the lowest above it, each ``(ratio, block index)``.
 
-    The blocks above are those whose region is in ``upper``; a side with no
-    block is None.  On equal ratios the block below is the highest index and
-    the block above the lowest.  Raises :class:`NonMonotoneExpressionError`
-    when the block below has a ratio at or above the block above's: no
-    threshold separates them, as when an expression drops between two
-    attained ratios (a hump, or a built-in's rounding dip a grid scan misses).
+    The blocks above are those whose region is in ``upper``.  A side with no
+    block reads as the bound no threshold passes, ``(0, None)`` below and
+    ``(1, None)`` above.  On equal ratios the block below is the highest index
+    and the block above the lowest.  Raises :class:`NonMonotoneExpressionError`
+    when the side below has a ratio at or above the side above's: no threshold
+    separates them, as when an expression drops between two attained ratios (a
+    hump, or a built-in's rounding dip a grid scan misses), or when a block at
+    ratio 0 stays out of an empty ``neg`` region, or one at ratio 1 out of an
+    empty ``pos`` region.
     """
     table = tuple(zip(tp.ratios, range(len(tp.ratios)), tp.block_regions))
-    below = max(((r, i) for r, i, region in table if region not in upper), default=None)
-    above = min(((r, i) for r, i, region in table if region in upper), default=None)
-    if below and above and below[0] >= above[0]:
+    below = max(((r, i) for r, i, region in table if region not in upper), default=(Fraction(0), None))
+    above = min(((r, i) for r, i, region in table if region in upper), default=(Fraction(1), None))
+    if below[0] >= above[0]:
         (low_ratio, low), (high_ratio, high) = below, above
         labels, regions = tp.space.labels, tp.block_regions
+        if low is None or high is None:
+            ratio, index = above if low is None else below
+            bound, region = ("beta' >= 0", "neg") if low is None else ("alpha' <= 1", "pos")
+            why = (f"puts block {labels[index]!r} (ratio {format_endpoint(ratio)}) in the "
+                   f"{regions[index]!r} region, but every {bound} puts ratio {ratio} in the {region!r} region")
+        else:
+            why = (f"is not increasing on the attained ratios: block {labels[low]!r} (ratio "
+                   f"{format_endpoint(low_ratio)}) is in the {regions[low]!r} region but block "
+                   f"{labels[high]!r} (ratio {format_endpoint(high_ratio)}) "
+                   f"is in the {regions[high]!r} region")
         raise NonMonotoneExpressionError(
-            f"expression {display_name(expr)!r} is not increasing on the "
-            f"attained ratios: block {labels[low]!r} (ratio "
-            f"{format_endpoint(low_ratio)}) is in the {regions[low]!r} region but block "
-            f"{labels[high]!r} (ratio {format_endpoint(high_ratio)}) "
-            f"is in the {regions[high]!r} region; no probabilistic threshold pair "
-            "reproduces these regions"
+            f"expression {display_name(expr)!r} {why}; no probabilistic threshold pair reproduces these regions"
         )
     return below, above
 
@@ -252,8 +267,10 @@ def intervals_of(tp: TriPartition, expr) -> ThresholdEquivalence:
     Raises :class:`DegenerateRegionsError` when two or more regions of the
     tri-partition are empty, and otherwise :class:`NonMonotoneExpressionError`
     when a higher attained ratio lands in a lower region (the error names both
-    blocks).  The expression is only named, never evaluated: whether it is
-    increasing elsewhere does not matter.
+    blocks) or ratio 0 or 1 lands where no pair puts it (the error names the
+    block and the bound), so every characterization it returns admits a pair.
+    The expression is only named, never evaluated: whether it is increasing
+    elsewhere does not matter.
     """
     empty = tp.empty_regions
     if len(empty) >= 2:
@@ -266,8 +283,8 @@ def intervals_of(tp: TriPartition, expr) -> ThresholdEquivalence:
     rest_top, pos_bottom = _cut(tp, expr, ("pos",))
     return ThresholdEquivalence(
         case=EmptinessCase(f"{empty[0]}_empty" if empty else "all_nonempty"),
-        alpha_interval=Interval(rest_top[0], pos_bottom[0] if pos_bottom else Fraction(1), True, False),
-        beta_interval=Interval(neg_top[0] if neg_top else Fraction(0), rest_bottom[0], False, True),
+        alpha_interval=Interval(rest_top[0], pos_bottom[0], True, False),
+        beta_interval=Interval(neg_top[0], rest_bottom[0], False, True),
     )
 
 

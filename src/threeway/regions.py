@@ -7,6 +7,10 @@ and the degree decides the block's region against (alpha, beta), beta < alpha:
 :class:`TriPartition` holds.  Bounds, intervals and reports read it, and the
 element sets and degrees are views derived from it on first use.  The
 probabilistic regions are the linguistic ones under the identity expression.
+A space keeps each block table it was built for, under the concept's members,
+the expression object and the thresholds, and every call wraps the kept table
+in a fresh tri-partition.  So an expression must be a pure function of its
+input, and must not change after its first use.
 
 Comparisons carry no epsilon.  Degrees are exact fractions on the
 probabilistic path and plain floats on the linguistic one; Python compares
@@ -116,11 +120,14 @@ def region_of_degree(degree: Numeric, thresholds: Thresholds) -> str:
     return "bnd"
 
 
+_IDENTITY = IdentityExpr()  # one object, so repeated calls find the kept table
+
+
 def probabilistic_regions(
     space: ApproximationSpace, concept: Concept, thresholds: Thresholds
 ) -> TriPartition:
     """Regions from the raw inclusion ratios (degrees are exact fractions)."""
-    return linguistic_regions(space, concept, IdentityExpr(), thresholds)
+    return linguistic_regions(space, concept, _IDENTITY, thresholds)
 
 
 def linguistic_regions(
@@ -132,11 +139,18 @@ def linguistic_regions(
     """Regions from expression-evaluated inclusion ratios.
 
     ``expr`` is anything with an ``evaluate(x) -> degree`` method (a built-in
-    or custom piecewise expression, a step expression, or the identity).
+    or custom piecewise expression, a step expression, or the identity).  The
+    space keeps the block table per (concept members, expression object,
+    thresholds) and answers a repeated call from it without evaluating
+    ``expr`` again, so ``expr`` must be a pure function of ``x`` and must not
+    change after its first use.
     """
-    ratios = tuple(space.block_ratios(concept).values())
-    degrees = tuple(expr.evaluate(ratio) for ratio in ratios)
-    return TriPartition(space, ratios, degrees, tuple(region_of_degree(d, thresholds) for d in degrees))
+    def build() -> tuple:
+        ratios = tuple(space.block_ratios(concept).values())
+        degrees = tuple(expr.evaluate(ratio) for ratio in ratios)
+        return ratios, degrees, tuple(region_of_degree(d, thresholds) for d in degrees)
+
+    return TriPartition(space, *space._block_table(concept, expr, thresholds, build))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ The central object is the :class:`ApproximationSpace`: a finite set of
 element identifiers together with an equivalence partition into blocks.  All
 set sizes are compared through exact integer fractions; nothing here touches
 floating point, so threshold comparisons downstream never suffer rounding
-ties.  Spaces are immutable after construction and safe to share.
+ties.  Spaces are immutable after construction and safe to share; all a space
+adds later is a bounded memo of the block tables built on it.
 
 A partition can be given explicitly (a list of blocks) or derived from an
 attribute table: two elements share a block exactly when their key-column
@@ -17,11 +18,12 @@ as lists, and refuses an empty table or an unknown column in one place.
 from __future__ import annotations
 
 import csv
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 
 class DataError(ValueError):
@@ -53,6 +55,10 @@ def relative_cardinality(part: Iterable[str], whole: Iterable[str]) -> Fraction:
     return Fraction(len(part & whole), len(whole))
 
 
+_KEPT_TABLES = 64  # block tables a space keeps, the oldest dropped first
+_KEEPING = threading.Lock()  # held only to insert and evict; a read takes no lock
+
+
 class ApproximationSpace:
     """A finite universe plus an equivalence partition of it.
 
@@ -63,7 +69,7 @@ class ApproximationSpace:
     anything else.
     """
 
-    __slots__ = ("elements", "blocks", "labels", "_block_of")
+    __slots__ = ("elements", "blocks", "labels", "_block_of", "_tables", "_members")
 
     def __init__(
         self,
@@ -102,6 +108,8 @@ class ApproximationSpace:
         self.blocks: tuple[tuple[str, ...], ...] = tuple(block for block, _ in pairs)
         self.labels: tuple[str, ...] = tuple(f"B{i + 1}" if label is None else label for i, (_, label) in enumerate(pairs))
         self._block_of: dict[str, int] = seen
+        self._tables: dict[tuple, tuple] = {}
+        self._members: tuple = (None, None)  # the last member set asked for, and its kept equal
 
     # -- queries ------------------------------------------------------------
 
@@ -144,6 +152,33 @@ class ApproximationSpace:
             i: Fraction(len(concept.members.intersection(block)), len(block))
             for i, block in enumerate(self.blocks)
         }
+
+    def _block_table(self, concept: Concept, expr, thresholds, build: Callable[[], tuple]) -> tuple:
+        """The table ``build()`` returns for (concept, expr, thresholds), kept for the next such call.
+
+        The key holds the expression's identity, so any object serves, hashable
+        or not; the entry holds the expression itself, so that identity cannot
+        be reused while the entry lives.  Keys share one member set per value,
+        so a concept rebuilt with equal members is matched by identity after
+        one comparison, not by comparing every element on each call.
+        Concurrent callers may both build a missing table; either table is the
+        same.
+        """
+        members = concept.members
+        seen, kept_members = self._members
+        if members is not seen:
+            kept_members = next((key[0] for key in list(self._tables) if key[0] == members), members)
+            self._members = (members, kept_members)
+        key = (kept_members, id(expr), thresholds)
+        kept = self._tables.get(key)
+        if kept is not None and kept[0] is expr:
+            return kept[1]
+        table = build()
+        with _KEEPING:
+            self._tables[key] = (expr, table)
+            if len(self._tables) > _KEPT_TABLES:
+                del self._tables[next(iter(self._tables))]
+        return table
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ApproximationSpace({len(self.elements)} elements, {len(self.blocks)} blocks)"

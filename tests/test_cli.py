@@ -615,6 +615,16 @@ class TestGoldenOutput:
         assert result.stdout_bytes == b""
         assert result.stderr_bytes == (FIXTURES / "equivalence_hump_refusal.txt").read_bytes()
 
+    def test_unreachable_bound_refusal_byte_identical(self, runner):
+        # x^2/2 leaves group A (ratio 1) in the boundary with pos empty; every
+        # alpha' <= 1 accepts ratio 1, so no pair reproduces the regions
+        result = invoke(runner, "equivalence", "--input", str(FIXTURES / "two_groups.csv"),
+                        "--key", "group", "--concept", "x", "--expr", f"file:{FIXTURES / 'half.json'}",
+                        "--alpha", "0.8", "--beta", "0.2")
+        assert result.exit_code == 4
+        assert result.stdout_bytes == b""
+        assert result.stderr_bytes == (FIXTURES / "equivalence_half_refusal.txt").read_bytes()
+
     def test_verify_mismatch_byte_identical(self, runner):
         result = invoke(runner, "verify", *BASE, "--expr", "not_small",
                         "--alpha", "0.8", "--beta", "0.2",

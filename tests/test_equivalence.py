@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from threeway import (
     BUILTIN_NAMES,
@@ -127,15 +127,22 @@ def block_table(ratios, regions) -> TriPartition:
 
 @st.composite
 def block_tables(draw):
-    """Ratios and regions drawn independently, so no expression filters the region order."""
+    """Ratios and regions drawn independently, so no expression filters the region order.
+
+    The ends 0 and 1 are drawn more often, since only there can a block sit
+    where no threshold pair puts it.
+    """
     size = draw(st.integers(min_value=1, max_value=7))
-    ratios = st.sampled_from(sorted({Fraction(n, d) for d in range(1, 7) for n in range(d + 1)}))
+    ratios = st.one_of(st.sampled_from((Fraction(0), Fraction(1))),
+                       st.sampled_from(sorted({Fraction(n, d) for d in range(1, 7) for n in range(d + 1)})))
     return block_table(draw(st.lists(ratios, min_size=size, max_size=size)),
                        draw(st.lists(st.sampled_from(REGION_NAMES), min_size=size, max_size=size)))
 
 
 WITNESSES = re.compile(r"block '(B\d+)' \(ratio [^)]*\) is in the '(\w+)' region "
                        r"but block '(B\d+)' \(ratio [^)]*\) is in the '(\w+)' region")
+BOUND_WITNESS = re.compile(r"puts block '(B\d+)' \(ratio [^)]*\) in the '(\w+)' region, "
+                          r"but every (?:alpha' <= 1|beta' >= 0) puts ratio ([01]) in the '(\w+)' region")
 
 
 AGREEMENT_CASES = [
@@ -513,6 +520,9 @@ class TestArbitraryBlockTables:
 
     @settings(max_examples=200)
     @given(block_tables())
+    # a bnd block at ratio 1 with pos empty, and at ratio 0 with neg empty
+    @example(block_table([Fraction(1), Fraction(0)], ["bnd", "neg"]))
+    @example(block_table([Fraction(0), Fraction(1)], ["bnd", "pos"]))
     def test_refuses_or_agrees_with_the_sweep(self, tp):
         sweep = sweep_of(tp)
         if len(tp.empty_regions) >= 2:
@@ -523,6 +533,14 @@ class TestArbitraryBlockTables:
             equivalence = intervals_of(tp, IdentityExpr())
         except NonMonotoneExpressionError as exc:
             assert sweep.admitted() == ()
+            bound = BOUND_WITNESS.search(str(exc))
+            if bound:  # a block at ratio 0 or 1 kept out of the empty region every pair puts it in
+                label, region, ratio, bound_region = bound.groups()
+                index = int(label[1:])
+                assert tp.block_regions[index] == region != bound_region
+                assert bound_region in tp.empty_regions
+                assert tp.ratios[index] == int(ratio) == {"neg": 0, "pos": 1}[bound_region]
+                return
             low, low_region, high, high_region = WITNESSES.search(str(exc)).groups()
             low, high = int(low[1:]), int(high[1:])
             assert (tp.block_regions[low], tp.block_regions[high]) == (low_region, high_region)
@@ -530,10 +548,8 @@ class TestArbitraryBlockTables:
             assert order.index(low_region) < order.index(high_region)
             assert tp.ratios[low] >= tp.ratios[high]
             return
-        # a bnd block at ratio 1 with pos empty (or at 0 with neg empty) is not
-        # refused: its interval, (1, 1] or [0, 0), holds no pair, like the sweep
-        hollow = any(i.lo == i.hi for i in (equivalence.alpha_interval, equivalence.beta_interval))
-        assert (sweep.admitted() == ()) == hollow
+        # every characterization it returns admits a pair
+        assert sweep.admitted() != ()
         assert sweep.agrees_with(equivalence)
 
 

@@ -227,12 +227,14 @@ class TestMonotonicity:
 
     def test_scan_cost_per_call(self):
         # the intervals evaluate the expression once per block (6 here) and
-        # never scan it; each is_increasing call scans the whole grid
+        # never scan it; the space keeps that block table, so a repeated call
+        # evaluates nothing and other thresholds build a second table; each
+        # is_increasing call scans the whole grid
         expr = CountingIdentity()
         space, sport = community_instance()
         th = Thresholds(Fraction("0.8"), Fraction("0.2"))
-        for calls in (6, 12):
-            equivalent_threshold_intervals(space, sport, expr, th)
+        for thresholds, calls in ((th, 6), (th, 6), (Thresholds(Fraction("0.7"), Fraction("0.2")), 12)):
+            equivalent_threshold_intervals(space, sport, expr, thresholds)
             assert expr.calls == calls
         expr.calls = 0
         assert is_increasing(expr) and is_increasing(expr, 0.001)

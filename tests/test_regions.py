@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from threeway import (
+    ApproximationSpace,
     Concept,
+    DegenerateRegionsError,
     IdentityExpr,
+    NonMonotoneExpressionError,
     RoughSetPair,
     StepExpr,
     Thresholds,
@@ -17,15 +24,19 @@ from threeway import (
     TriPartition,
     builtin,
     delta_regions,
+    equivalent_threshold_intervals,
     explain_element,
     linguistic_regions,
     pawlak_rough_set,
     probabilistic_regions,
     report,
     rough_set_from_tripartition,
+    verify_equivalence,
 )
 
+from threeway.cli import parse_expression
 from threeway.equivalence import bounds_of, intervals_of
+from threeway.spaces import _KEPT_TABLES
 
 from conftest import (
     block_union,
@@ -36,7 +47,10 @@ from conftest import (
     twenty_instance,
     users,
 )
+from test_expressions import CountingIdentity, UnhashableIdentity
 from test_spaces import spaces_with_concepts
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 @st.composite
@@ -226,6 +240,172 @@ class TestBlockTable:
         explain_element(tp, expr, "u26", "sport")
         for view in ("pos", "neg", "bnd", "degrees"):
             assert view not in tp.__dict__
+
+
+class Halve:
+    """A duck-typed expression with no name that cannot be hashed."""
+
+    __hash__ = None
+
+    def evaluate(self, x):
+        return x / 2
+
+
+# the built-ins, identity, a step and two custom files: half.json refuses at
+# (0.8, 0.2) whenever a block's ratio is 1, and the hump out of region order
+KEPT_EXPRESSIONS = (
+    builtin("not_small"), builtin("very_big"), builtin("extremely_big"), IdentityExpr(),
+    parse_expression("delta:0.5"), parse_expression(f"file:{FIXTURES / 'half.json'}"),
+    parse_expression(f"file:{FIXTURES / 'medium_hump.json'}"),
+)
+REFUSALS = (NonMonotoneExpressionError, DegenerateRegionsError)
+
+
+def answer(space, members, expr, thresholds, kind, probe):
+    """One query's answer on ``space``, through a concept built afresh; a refusal as its type and text."""
+    concept = Concept(frozenset(members), label="X")
+    try:
+        if kind == "regions":
+            tp = linguistic_regions(space, concept, expr, thresholds)
+            return tp.ratios, tp.block_degrees, tp.block_regions
+        if kind == "verify":
+            return verify_equivalence(space, concept, expr, thresholds, probe.alpha, probe.beta)
+        return equivalent_threshold_intervals(space, concept, expr, thresholds)
+    except REFUSALS as exc:
+        return type(exc), str(exc)
+
+
+def fresh_answer(space, *query):
+    """The same query on a copy of ``space`` that has kept no table."""
+    return answer(ApproximationSpace(space.elements, space.blocks, space.labels), *query)
+
+
+class TestKeptTables:
+    """A space keeps its block tables; every answer equals a fresh recount's."""
+
+    TH = Thresholds(Fraction("0.8"), Fraction("0.2"))
+
+    def test_each_call_gets_its_own_tripartition_over_the_same_table(self, community):
+        space, sport = community
+        expr = builtin("not_small")
+        tp1 = linguistic_regions(space, sport, expr, self.TH)
+        tp2 = linguistic_regions(space, sport, expr, self.TH)
+        assert tp1 is not tp2
+        assert tp1.ratios is tp2.ratios
+        assert tp1.block_degrees is tp2.block_degrees
+        assert tp1.block_regions is tp2.block_regions
+
+    def test_a_view_read_on_one_builds_nothing_on_the_other(self, community):
+        space, sport = community
+        tp1, tp2 = (linguistic_regions(space, sport, builtin("not_small"), self.TH) for _ in range(2))
+        assert tp1.pos and tp1.degrees
+        assert not {"pos", "neg", "bnd", "degrees"} & tp2.__dict__.keys()
+
+    def test_a_concept_switch_follows_the_new_members(self, community):
+        space, sport = community
+        expr = builtin("not_small")
+        before = linguistic_regions(space, sport, expr, self.TH)
+        others = Concept(frozenset(space.elements) - sport.members, label="others")
+        switched = linguistic_regions(space, others, expr, self.TH)
+        assert switched.ratios == tuple(1 - ratio for ratio in before.ratios)
+        assert switched == linguistic_regions(ApproximationSpace(space.elements, space.blocks),
+                                              others, expr, self.TH)
+        # an equal concept built afresh reads the first table again, and its
+        # next table is kept under the member set already kept for that value
+        rebuilt = Concept(frozenset(sport.members))
+        again = linguistic_regions(space, rebuilt, expr, self.TH)
+        assert again.block_regions is before.block_regions
+        linguistic_regions(space, rebuilt, expr, Thresholds(Fraction("0.7"), Fraction("0.2")))
+        assert [key[0] for key in space._tables] == [sport.members, others.members, sport.members]
+        assert {id(key[0]) for key in space._tables} == {id(sport.members), id(others.members)}
+
+    @pytest.mark.parametrize("make", [UnhashableIdentity, Halve])
+    def test_an_unhashable_or_nameless_expression_works(self, community, make):
+        space, sport = community
+        expr = make()
+        first = linguistic_regions(space, sport, expr, self.TH)
+        assert linguistic_regions(space, sport, expr, self.TH) == first
+        assert first.block_degrees == tuple(expr.evaluate(ratio) for ratio in first.ratios)
+        assert equivalent_threshold_intervals(space, sport, expr, self.TH) == intervals_of(first, expr)
+
+    def test_an_equal_but_distinct_expression_is_evaluated_afresh(self, community):
+        space, sport = community
+        first, second = CountingIdentity(), CountingIdentity()
+        for expr in (first, second, first):
+            linguistic_regions(space, sport, expr, self.TH)
+        assert (first.calls, second.calls) == (6, 6)
+
+    def test_the_oldest_table_goes_first_past_the_cap(self, community):
+        space, sport = community
+        expr = CountingIdentity()
+        pairs = [Thresholds(Fraction(1), Fraction(i, 1000)) for i in range(_KEPT_TABLES + 1)]
+        for th in pairs:
+            linguistic_regions(space, sport, expr, th)
+        assert len(space._tables) == _KEPT_TABLES
+        for th in (pairs[-1], pairs[1], pairs[0]):  # kept, kept, dropped
+            linguistic_regions(space, sport, expr, th)
+        assert expr.calls == 6 * (len(pairs) + 1)
+
+    def test_a_kept_table_is_block_level(self, community):
+        space, sport = community
+        expr = builtin("not_small")
+        report(linguistic_regions(space, sport, expr, self.TH), expr, self.TH, sport).to_json_dict()
+        [(kept_expr, table)] = space._tables.values()
+        assert kept_expr is expr
+        assert [len(column) for column in table] == [len(space.blocks)] * 3
+        assert not any(isinstance(value, (TriPartition, frozenset, set, dict))
+                       for column in table for value in column)
+
+    @settings(max_examples=25)
+    @given(spaces_with_concepts(), st.data())
+    def test_kept_answers_equal_fresh_ones(self, space_concept, data):
+        space, concept = space_concept
+        # equal member sets, each query building its own Concept from them
+        member_sets = [sorted(concept.members), *data.draw(
+            st.lists(st.sets(st.sampled_from(space.elements)).map(sorted), min_size=1, max_size=2))]
+        pairs = data.draw(st.lists(threshold_pairs(), min_size=1, max_size=12))
+        queries = data.draw(st.lists(st.tuples(
+            st.sampled_from(member_sets), st.sampled_from(KEPT_EXPRESSIONS), st.sampled_from(pairs),
+            st.sampled_from(("regions", "verify", "intervals")), st.sampled_from(pairs),
+        ), min_size=_KEPT_TABLES + 1, max_size=2 * _KEPT_TABLES))
+        for query in queries:
+            assert answer(space, *query) == fresh_answer(space, *query)
+        assert len(space._tables) <= _KEPT_TABLES
+
+    def test_threads_sharing_a_space_get_fresh_answers(self):
+        space, sport = community_instance()
+        rng = random.Random(7)
+        members = [sorted(sport.members), sorted(set(space.elements) - sport.members)]
+        pairs = [Thresholds(Fraction(1), Fraction(i, 100)) for i in range(40)]
+        queries = [(rng.choice(members), rng.choice(KEPT_EXPRESSIONS), rng.choice(pairs),
+                    rng.choice(("regions", "verify", "intervals")), rng.choice(pairs))
+                   for _ in range(400)]
+        expected = [fresh_answer(space, *query) for query in queries]
+        errors, start = [], threading.Barrier(4)
+
+        def worker(offset):
+            start.wait(timeout=60)
+            try:
+                for i in range(len(queries)):
+                    j = (i + offset * 97) % len(queries)
+                    if answer(space, *queries[j]) != expected[j]:
+                        errors.append(f"query {j} differs from a fresh recount")
+            except Exception as exc:  # any raise is a failure of the shared space
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so inserts and evictions interleave
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(space._tables) <= _KEPT_TABLES
 
 
 class TestRoughSets:
