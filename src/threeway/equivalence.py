@@ -68,12 +68,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
-from .expressions import Numeric, StepExpr, display_name
+from .expressions import Numeric, StepExpr, as_exact, display_name
 from .regions import Thresholds, TriPartition, linguistic_regions, region_of_degree
-from .spaces import ApproximationSpace, Concept
+from .spaces import _KEPT_TABLES, ApproximationSpace, Concept
 
 
 class NonMonotoneExpressionError(ValueError):
@@ -425,9 +425,13 @@ def delta_regions(space: ApproximationSpace, concept: Concept, cutoff: Numeric) 
 
     The boundary region is empty and no (alpha, beta) pair matters: this is
     ``linguistic_regions`` with a step expression at ``cutoff`` and thresholds
-    (1, 0), so the degrees are the crisp 0/1 values.
+    (1, 0), so the degrees are the crisp 0/1 values.  Equal cutoffs share one
+    step expression, so a repeated call reads the space's kept block table.
     """
-    return linguistic_regions(space, concept, StepExpr(cutoff), Thresholds(1, 0))
+    return linguistic_regions(space, concept, _step_at(as_exact(cutoff, "cutoff")), Thresholds(1, 0))
+
+
+_step_at = lru_cache(maxsize=_KEPT_TABLES)(StepExpr)
 
 
 def coincides_with_pawlak(bounds: RegionBounds) -> bool:

@@ -6,6 +6,8 @@ small", "very big", or "extremely big".  The three built-ins are piecewise
 quadratic; custom expressions are restricted to the same three segment forms
 (constant, upward quadratic, downward quadratic), which is enough to express
 every hedge shape this library supports without a symbolic hedge calculus.
+A breakpoint belongs to the segment whose end includes it; construction
+checks that exactly one end does, so evaluation reads only the upper ends.
 
 Step expressions (``at least t``) are the crisp special case: they output
 exactly 0 or 1 and are compared without any floating-point conversion.
@@ -28,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Optional, Union
 
 Numeric = Union[int, float, Fraction]
@@ -44,6 +47,7 @@ DEFAULT_GRID_STEP = Fraction(1, 1000)
 MONOTONE_SLACK = 1e-9
 
 _RANGE_SLOP = 1e-9
+_ONE = Fraction(1)
 
 #: Size bounds on the literals :func:`as_exact` reads (``1e1000000`` alone takes
 #: 0.3 s to build exactly); every float's ``repr`` fits (24 characters, e-324).
@@ -131,11 +135,6 @@ class Segment:
             raise ExpressionError(f"quadratic segment needs d > 0, got {self.d}")
         self._check_range()
 
-    def contains(self, x: Numeric) -> bool:
-        lo_ok = x >= self.lo if self.lo_inclusive else x > self.lo
-        hi_ok = x <= self.hi if self.hi_inclusive else x < self.hi
-        return lo_ok and hi_ok
-
     def value(self, x: Numeric) -> float:
         """Formula value at ``x``; defined on the closed hull [lo, hi]."""
         xf = float(x)
@@ -218,16 +217,14 @@ class EvalExpr:
     def evaluate(self, x: Numeric) -> float:
         """Degree of the expression at ``x`` in [0, 1].
 
-        Fraction inputs get exact breakpoint ownership; the quadratic itself
-        is evaluated in floating point.
+        The first segment whose upper end admits ``x`` owns it; the tiling
+        check makes that sufficient.  Fraction inputs get exact breakpoint
+        ownership; the quadratic itself is evaluated in floating point.
         """
         _check_unit_interval(x)
         for seg in self.segments:
-            if seg.contains(x):
+            if (x <= seg.hi if seg.hi_inclusive else x < seg.hi):
                 return seg.value(x)
-        raise AssertionError(f"tiling admitted no segment for {x}")  # pragma: no cover
-
-    __call__ = evaluate
 
 
 @dataclass(frozen=True)
@@ -254,8 +251,6 @@ class StepExpr:
         _check_unit_interval(x)
         return 1.0 if x >= self.cutoff else 0.0
 
-    __call__ = evaluate
-
 
 @dataclass(frozen=True)
 class IdentityExpr:
@@ -272,15 +267,14 @@ class IdentityExpr:
         _check_unit_interval(x)
         return x
 
-    __call__ = evaluate
-
 
 def is_increasing(expr, grid_step: Numeric = DEFAULT_GRID_STEP) -> bool:
     """Decide non-decreasingness by scanning an evenly spaced grid.
 
-    The grid is {0, h, 2h, ...} capped with 1, where h is the exact decimal
-    reading of ``grid_step`` (0 < h <= 1/1000).  A sample may fall below its
-    predecessor by at most ``MONOTONE_SLACK``.
+    The grid is min(k*h, 1) for k = 0, 1, ..., ceil(1/h), where h is the exact
+    decimal reading of ``grid_step`` (0 < h <= 1/1000).  A sample may fall
+    below its predecessor by at most ``MONOTONE_SLACK``; the scan stops at
+    the first that falls further.
 
     Every call scans afresh (1,001 evaluations at the default step).  It backs
     ``declared_monotone``; the interval characterization does not call it.
@@ -288,16 +282,8 @@ def is_increasing(expr, grid_step: Numeric = DEFAULT_GRID_STEP) -> bool:
     step = as_exact(grid_step, "grid_step")
     if not 0 < step <= Fraction(1, 1000):
         raise ValueError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
-    prev = None
-    x = Fraction(0)
-    while True:
-        v = expr.evaluate(x)
-        if prev is not None and v < prev - MONOTONE_SLACK:
-            return False
-        prev = v
-        if x == 1:
-            return True
-        x = min(x + step, Fraction(1))
+    grid = (min(k * step, _ONE) for k in range(math.ceil(1 / step) + 1))
+    return all(not v < prev - MONOTONE_SLACK for prev, v in pairwise(map(expr.evaluate, grid)))
 
 
 def _nu(name: str, a: str, b: str, c: str, d_rise: float, d_fall: float,

@@ -158,9 +158,10 @@ class ApproximationSpace:
 
         The key holds the expression's identity, so any object serves, hashable
         or not; the entry holds the expression itself, so that identity cannot
-        be reused while the entry lives.  Keys share one member set per value,
-        so a concept rebuilt with equal members is matched by identity after
-        one comparison, not by comparing every element on each call.
+        be reused while the entry lives, and a key that matches names the very
+        expression asked for.  Keys share one member set per value, so a
+        concept rebuilt with equal members is matched by identity after one
+        comparison, not by comparing every element on each call.
         Concurrent callers may both build a missing table; either table is the
         same.
         """
@@ -171,7 +172,7 @@ class ApproximationSpace:
             self._members = (members, kept_members)
         key = (kept_members, id(expr), thresholds)
         kept = self._tables.get(key)
-        if kept is not None and kept[0] is expr:
+        if kept is not None:
             return kept[1]
         table = build()
         with _KEEPING:

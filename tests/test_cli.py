@@ -598,6 +598,20 @@ class TestGoldenOutput:
         assert result.stdout_bytes == (FIXTURES / fixture).read_bytes()
         assert result.stderr_bytes == b""
 
+    def test_breakpoint_owner_byte_identical(self, runner):
+        # group "peak" sits at 4/25, not_small's breakpoint b, which the rising
+        # piece owns (the falling piece would give 0.42624728850325366); the
+        # other two groups sit at ratios 0 and 1
+        result = invoke(runner, "regions", "--input", str(FIXTURES / "breakpoints.csv"),
+                        "--key", "group", "--concept", "x", "--expr", "not_small",
+                        "--alpha", "0.8", "--beta", "0.2", "--format", "json")
+        assert result.exit_code == 0
+        assert result.stdout_bytes == (FIXTURES / "regions_breakpoints.json").read_bytes()
+        assert result.stderr_bytes == b""
+        peak, none, everyone = json.loads(result.stdout)["blocks"]
+        assert (peak["ratio"], peak["degree"]) == (0.16, 0.42650233372228713)
+        assert (none["ratio"], everyone["ratio"]) == (0.0, 1.0)
+
     def test_hump_verify_coincides(self, runner):
         # a pair inside the hump fixture's intervals, checked by the direct route
         result = invoke(runner, "verify", *BASE, "--expr", HUMP_EXPR,

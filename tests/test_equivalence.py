@@ -15,6 +15,7 @@ from threeway import (
     Concept,
     DegenerateRegionsError,
     EmptinessCase,
+    ExpressionError,
     IdentityExpr,
     Interval,
     NonMonotoneExpressionError,
@@ -635,6 +636,24 @@ class TestDeltaRegions:
         space, concept = twenty
         with pytest.raises(ValueError):
             delta_regions(space, concept, Fraction(3, 2))
+
+    def test_equal_cutoffs_read_one_kept_table(self, community):
+        space, sport = community
+        tps = [delta_regions(space, sport, cutoff) for cutoff in
+               (Fraction(1, 2), 0.5, "0.5", Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))]
+        assert len(space._tables) == 1
+        for tp in tps:
+            assert tp.ratios is tps[0].ratios
+            assert tp.block_degrees is tps[0].block_degrees
+            assert tp.block_regions is tps[0].block_regions
+
+    @pytest.mark.parametrize("cutoff", [Fraction(3, 2), -1, "1.5", "half", True, None, float("nan")])
+    def test_a_bad_cutoff_is_refused_as_a_step_refuses_it(self, twenty, cutoff):
+        space, concept = twenty
+        with pytest.raises(ExpressionError) as step:
+            StepExpr(cutoff)
+        with pytest.raises(ExpressionError, match=re.escape(str(step.value))):
+            delta_regions(space, concept, cutoff)
 
 
 class TestPawlakCoincidence:

@@ -5,9 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from threeway.expressions import MAX_LITERAL_CHARS, as_exact
+from threeway.expressions import MAX_LITERAL_CHARS, MONOTONE_SLACK, as_exact
 
 from threeway import (
     BUILTIN_NAMES,
@@ -94,7 +94,8 @@ class TestBuiltins:
         # so the owner is pinned exactly
         expr = builtin(name)
         piece = next(seg for seg in expr.segments if seg.form == owner)
-        assert piece.contains(peak)
+        assert (piece.lo < peak or piece.lo_inclusive and piece.lo == peak) and (
+            peak < piece.hi or piece.hi_inclusive and peak == piece.hi)
         assert expr.evaluate(peak) == piece.value(peak)
 
 
@@ -251,6 +252,105 @@ class TestMonotonicity:
         assert equivalent_threshold_intervals(space, sport, expr, th) == (
             equivalent_threshold_intervals(space, sport, IdentityExpr(), th)
         )
+
+
+@st.composite
+def const_tilings(draw) -> EvalExpr:
+    """1-6 constant segments on a 1/60 breakpoint grid, one owner per breakpoint.
+
+    Consecutive values differ by 0.01, inside the breakpoint gap limit, so
+    the segments may rise or fall.
+    """
+    cuts = draw(st.lists(st.integers(1, 59), max_size=5, unique=True).map(sorted))
+    bounds = [Fraction(0), *(Fraction(k, 60) for k in cuts), Fraction(1)]
+    left_owns = draw(st.lists(st.booleans(), min_size=len(cuts), max_size=len(cuts)))
+    hundredths = [draw(st.integers(0, 100))]
+    for _ in cuts:
+        h, delta = hundredths[-1], draw(st.sampled_from((-1, 1)))
+        hundredths.append(h + delta if 0 <= h + delta <= 100 else h - delta)
+    closed = [True, *left_owns, True]  # closed[j]: does the segment ending at bounds[j] own it?
+    return EvalExpr("tiling", tuple(
+        Segment(bounds[i], bounds[i + 1], i == 0 or not closed[i], closed[i + 1], "const", c=h / 100)
+        for i, h in enumerate(hundredths)
+    ))
+
+
+def stepped_is_increasing(expr, step: Fraction) -> bool:
+    """The grid scan as a stepped loop, kept as the reference for ``is_increasing``."""
+    prev = None
+    x = Fraction(0)
+    while True:
+        v = expr.evaluate(x)
+        if prev is not None and v < prev - MONOTONE_SLACK:
+            return False
+        prev = v
+        if x == 1:
+            return True
+        x = min(x + step, Fraction(1))
+
+
+class Counting:
+    """Wraps an expression and records every argument it is evaluated at."""
+
+    def __init__(self, expr) -> None:
+        self.expr, self.args = expr, []
+
+    def evaluate(self, x):
+        self.args.append(x)
+        return self.expr.evaluate(x)
+
+
+class NanAt:
+    """Duck-typed expression that returns NaN at one point and ``expr``'s degree elsewhere."""
+
+    def __init__(self, expr, where: Fraction) -> None:
+        self.expr, self.where = expr, where
+
+    def evaluate(self, x):
+        return float("nan") if x == self.where else self.expr.evaluate(x)
+
+
+SCAN_STEPS = (Fraction(1, 1000), Fraction(1, 2000), Fraction(3, 4000))
+SCANNED = {
+    **{name: builtin(name) for name in BUILTIN_NAMES},
+    "small_like": SMALL_LIKE,
+    "medium_hump": MEDIUM_HUMP,
+    "step": StepExpr(Fraction(1, 3)),
+    "identity": IdentityExpr(),
+    "identity_with_nan": NanAt(IdentityExpr(), Fraction(1, 2)),
+    "hump_with_nan": NanAt(MEDIUM_HUMP, Fraction(1, 2)),
+}
+
+
+class TestBreakpointOwnership:
+    @settings(max_examples=60)
+    @given(const_tilings(), st.lists(st.fractions(0, 1), max_size=10))
+    def test_the_segment_including_a_point_gives_its_value(self, expr, xs):
+        segments = expr.segments
+        for x in [Fraction(0), Fraction(1), *(s.hi for s in segments), *xs]:
+            owners = [s for s in segments
+                      if (s.lo < x or s.lo_inclusive and s.lo == x) and (x < s.hi or s.hi_inclusive and x == s.hi)]
+            assert len(owners) == 1
+            assert expr.evaluate(x) == owners[0].c
+
+
+class TestGridScan:
+    """``is_increasing`` visits the stepped loop's grid and gives its verdict."""
+
+    @pytest.mark.parametrize("step", SCAN_STEPS, ids=str)
+    @pytest.mark.parametrize("name", SCANNED)
+    def test_same_verdict_and_samples_as_the_stepped_loop(self, name, step):
+        scanned, stepped = Counting(SCANNED[name]), Counting(SCANNED[name])
+        assert is_increasing(scanned, step) == stepped_is_increasing(stepped, step)
+        assert scanned.args == stepped.args
+        assert [type(x) for x in scanned.args] == [type(x) for x in stepped.args]
+
+    @settings(max_examples=25)
+    @given(const_tilings(), st.sampled_from(SCAN_STEPS))
+    def test_same_verdict_on_random_tilings(self, expr, step):
+        scanned, stepped = Counting(expr), Counting(expr)
+        assert is_increasing(scanned, step) == stepped_is_increasing(stepped, step)
+        assert scanned.args == stepped.args
 
 
 class CountingIdentity:
