@@ -21,7 +21,6 @@ from .equivalence import (
     candidate_thresholds,
     check_bounds_ordering,
     coincides_with_pawlak,
-    delta_regions,
     equivalent_threshold_intervals,
     region_bounds,
     sweep_equivalence_oracle,
@@ -48,6 +47,7 @@ from .regions import (
     Thresholds,
     ThresholdError,
     TriPartition,
+    delta_regions,
     linguistic_regions,
     pawlak_rough_set,
     probabilistic_regions,

@@ -14,38 +14,36 @@ expression always leaves them) they interleave strictly:
 ``0 <= neg_max < bnd_min <= bnd_max < pos_min <= 1``.
 
 A probabilistic threshold pair (alpha', beta'), beta' < alpha', reproduces
-the linguistic regions exactly when it makes the same two cuts of the block
-table (:func:`intervals_of` reads each interval off one cut):
+the linguistic regions exactly when beta' cuts the ``neg`` blocks from the
+rest and alpha' the ``pos`` blocks from the rest.  So :func:`intervals_of`
+reads both intervals off the bounds, an absent bound reading as 0 below a cut
+and 1 above it:
 
-* beta' separates the ``neg`` blocks from the rest: beta' lies in
-  [highest ``neg`` ratio, lowest ``bnd`` or ``pos`` ratio);
-* alpha' separates the ``pos`` blocks from the rest: alpha' lies in
-  (highest ``neg`` or ``bnd`` ratio, lowest ``pos`` ratio].
+* beta' in [neg_max, min(bnd_min, pos_min));
+* alpha' in (max(neg_max, bnd_max), pos_min].
 
-An empty side leaves 0 or 1 as that end.  With every region non-empty that
-is alpha' in (bnd_max, pos_min] and beta' in [neg_max, bnd_min); an empty
-boundary makes both cuts the same one, and beta' < alpha' couples the pair
-into neg_max <= beta' < alpha' <= pos_min.
+With every region non-empty that is alpha' in (bnd_max, pos_min] and beta'
+in [neg_max, bnd_min); an empty boundary makes both cuts the same one, and
+beta' < alpha' couples the pair into neg_max <= beta' < alpha' <= pos_min.
 
 Two or more empty regions is rejected as degenerate
-(:class:`DegenerateRegionsError`).  A cut whose highest block below has a
-ratio at or above its lowest block above is refused
-(:class:`NonMonotoneExpressionError`, naming both blocks, the beta' cut
-checked first): no probabilistic pair can reproduce those regions.  An
-empty side counts as its end, 0 or 1, there too: a block at ratio 0 outside
-an empty ``neg`` region, or at ratio 1 outside an empty ``pos`` region, is
-refused, naming the block and the bound, since every pair puts ratio 0 in
-``neg`` and ratio 1 in ``pos``.  That exact check on the attained ratios is
-the only monotonicity gate; the expression is never scanned, so a
-non-increasing one whose ratios stay ordered by region is characterized like
-any other.  Everything is exact:
-ratios, interval endpoints, and the open/closed flags all live in rational
+(:class:`DegenerateRegionsError`).  A cut whose interval is empty is refused
+(:class:`NonMonotoneExpressionError`, the beta' cut checked first), naming
+the highest block below it and the lowest above: no probabilistic pair can
+reproduce those regions.  An absent bound counts as its end, 0 or 1, there
+too: a block at ratio 0 outside an empty ``neg`` region, or at ratio 1
+outside an empty ``pos`` region, is refused, naming the block and the bound,
+since every pair puts ratio 0 in ``neg`` and ratio 1 in ``pos``.  That exact
+check on the attained ratios is the only monotonicity gate; the expression
+is never scanned, so a non-increasing one whose ratios stay ordered by
+region is characterized like any other.  Everything is exact: ratios,
+interval endpoints, and the open/closed flags all live in rational
 arithmetic, because the content of the characterization is precisely which
 endpoints are attained.  :func:`region_bounds` and
 :func:`equivalent_threshold_intervals` build the tri-partition and delegate.
 A probe pair is checked on the same table too: :func:`first_difference` puts
-each block's ratio through the probe (the probabilistic route is the identity
-expression) and names the first block whose region differs, and
+each block's ratio through the probe (the probabilistic route is the
+identity expression) and names the first block whose region differs, and
 :func:`verify_equivalence` is that search coming up empty.
 
 An independent brute-force check is provided alongside.  Region membership
@@ -68,12 +66,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Optional
 
-from .expressions import Numeric, StepExpr, as_exact, display_name
+from .expressions import Numeric, display_name
 from .regions import Thresholds, TriPartition, linguistic_regions, region_of_degree
-from .spaces import _KEPT_TABLES, ApproximationSpace, Concept
+from .spaces import ApproximationSpace, Concept
 
 
 class NonMonotoneExpressionError(ValueError):
@@ -114,7 +112,7 @@ class RegionBounds:
 
 @dataclass(frozen=True)
 class Interval:
-    """A rational interval with explicit open/closed endpoints."""
+    """A non-empty rational interval with explicit open/closed endpoints."""
 
     lo: Fraction
     hi: Fraction
@@ -122,8 +120,8 @@ class Interval:
     hi_open: bool
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+        if self.lo > self.hi or (self.lo == self.hi and (self.lo_open or self.hi_open)):
+            raise ValueError(f"empty interval from {self.lo} to {self.hi}")
 
     def contains(self, value: Numeric) -> bool:
         lo_ok = value > self.lo if self.lo_open else value >= self.lo
@@ -189,39 +187,36 @@ class ThresholdEquivalence:
         return f"alpha' in {self.alpha_interval}, beta' in {self.beta_interval}"
 
 
-def _cut(tp: TriPartition, expr, upper: tuple[str, ...]):
-    """The highest block below a threshold cut and the lowest above it, each ``(ratio, block index)``.
+def _refuse(tp: TriPartition, expr, upper: tuple[str, ...], lo: Fraction, hi: Fraction):
+    """Raise :class:`NonMonotoneExpressionError` for a cut with no threshold from ``lo`` up to ``hi``.
 
-    The blocks above are those whose region is in ``upper``.  A side with no
-    block reads as the bound no threshold passes, ``(0, None)`` below and
-    ``(1, None)`` above.  On equal ratios the block below is the highest index
-    and the block above the lowest.  Raises :class:`NonMonotoneExpressionError`
-    when the side below has a ratio at or above the side above's: no threshold
-    separates them, as when an expression drops between two attained ratios (a
-    hump, or a built-in's rounding dip a grid scan misses), or when a block at
-    ratio 0 stays out of an empty ``neg`` region, or one at ratio 1 out of an
-    empty ``pos`` region.
+    The blocks above the cut are those whose region is in ``upper``.  It names
+    the highest-index block below at ratio ``lo`` and the lowest-index block
+    above at ratio ``hi``, or, for a side with no block, the bound: every
+    beta' >= 0 puts ratio 0 in ``neg``, and every alpha' <= 1 ratio 1 in ``pos``.
     """
-    table = tuple(zip(tp.ratios, range(len(tp.ratios)), tp.block_regions))
-    below = max(((r, i) for r, i, region in table if region not in upper), default=(Fraction(0), None))
-    above = min(((r, i) for r, i, region in table if region in upper), default=(Fraction(1), None))
-    if below[0] >= above[0]:
-        (low_ratio, low), (high_ratio, high) = below, above
-        labels, regions = tp.space.labels, tp.block_regions
-        if low is None or high is None:
-            ratio, index = above if low is None else below
-            bound, region = ("beta' >= 0", "neg") if low is None else ("alpha' <= 1", "pos")
-            why = (f"puts block {labels[index]!r} (ratio {format_endpoint(ratio)}) in the "
-                   f"{regions[index]!r} region, but every {bound} puts ratio {ratio} in the {region!r} region")
-        else:
-            why = (f"is not increasing on the attained ratios: block {labels[low]!r} (ratio "
-                   f"{format_endpoint(low_ratio)}) is in the {regions[low]!r} region but block "
-                   f"{labels[high]!r} (ratio {format_endpoint(high_ratio)}) "
-                   f"is in the {regions[high]!r} region")
-        raise NonMonotoneExpressionError(
-            f"expression {display_name(expr)!r} {why}; no probabilistic threshold pair reproduces these regions"
-        )
-    return below, above
+    table = list(enumerate(zip(tp.ratios, tp.block_regions)))
+    low = max((i for i, (r, region) in table if region not in upper and r == lo), default=None)
+    high = min((i for i, (r, region) in table if region in upper and r == hi), default=None)
+    labels, regions = tp.space.labels, tp.block_regions
+    if low is None or high is None:
+        ratio, index = (hi, high) if low is None else (lo, low)
+        bound, region = ("beta' >= 0", "neg") if low is None else ("alpha' <= 1", "pos")
+        why = (f"puts block {labels[index]!r} (ratio {format_endpoint(ratio)}) in the "
+               f"{regions[index]!r} region, but every {bound} puts ratio {ratio} in the {region!r} region")
+    else:
+        why = (f"is not increasing on the attained ratios: block {labels[low]!r} (ratio "
+               f"{format_endpoint(lo)}) is in the {regions[low]!r} region but block "
+               f"{labels[high]!r} (ratio {format_endpoint(hi)}) is in the {regions[high]!r} region")
+    raise NonMonotoneExpressionError(
+        f"expression {display_name(expr)!r} {why}; no probabilistic threshold pair reproduces these regions"
+    )
+
+
+def _ends(below: tuple, above: tuple) -> tuple[Fraction, Fraction]:
+    """A cut's ends: the highest present bound below it and the lowest above, else 0 and 1."""
+    return (max((v for v in below if v is not None), default=Fraction(0)),
+            min((v for v in above if v is not None), default=Fraction(1)))
 
 
 def bounds_of(tp: TriPartition) -> RegionBounds:
@@ -264,13 +259,13 @@ def equivalent_threshold_intervals(
 def intervals_of(tp: TriPartition, expr) -> ThresholdEquivalence:
     """The equivalent probabilistic threshold pairs of a tri-partition built through ``expr``.
 
-    Raises :class:`DegenerateRegionsError` when two or more regions of the
-    tri-partition are empty, and otherwise :class:`NonMonotoneExpressionError`
-    when a higher attained ratio lands in a lower region (the error names both
-    blocks) or ratio 0 or 1 lands where no pair puts it (the error names the
-    block and the bound), so every characterization it returns admits a pair.
-    The expression is only named, never evaluated: whether it is increasing
-    elsewhere does not matter.
+    Both are read off :func:`bounds_of`: beta' in [neg_max, min(bnd_min,
+    pos_min)) and alpha' in (max(neg_max, bnd_max), pos_min], an absent bound
+    reading as 0 below a cut and 1 above it.  Raises
+    :class:`DegenerateRegionsError` when two or more regions are empty, and
+    otherwise :class:`NonMonotoneExpressionError` when an interval is empty,
+    naming its witnesses, so every characterization it returns admits a pair.
+    The expression is only named, never evaluated.
     """
     empty = tp.empty_regions
     if len(empty) >= 2:
@@ -279,12 +274,16 @@ def intervals_of(tp: TriPartition, expr) -> ThresholdEquivalence:
             f"only the {present!r} region is non-empty (it covers the whole universe); "
             "the threshold characterization needs at least two non-empty regions"
         )
-    neg_top, rest_bottom = _cut(tp, expr, ("bnd", "pos"))
-    rest_top, pos_bottom = _cut(tp, expr, ("pos",))
+    bounds = bounds_of(tp)
+    beta = _ends((bounds.neg_max,), (bounds.bnd_min, bounds.pos_min))
+    alpha = _ends((bounds.neg_max, bounds.bnd_max), (bounds.pos_min,))
+    for upper, (lo, hi) in ((("bnd", "pos"), beta), (("pos",), alpha)):
+        if lo >= hi:
+            _refuse(tp, expr, upper, lo, hi)
     return ThresholdEquivalence(
         case=EmptinessCase(f"{empty[0]}_empty" if empty else "all_nonempty"),
-        alpha_interval=Interval(rest_top[0], pos_bottom[0], True, False),
-        beta_interval=Interval(neg_top[0], rest_bottom[0], False, True),
+        alpha_interval=Interval(*alpha, True, False),
+        beta_interval=Interval(*beta, False, True),
     )
 
 
@@ -418,20 +417,6 @@ def sweep_of(tp: TriPartition) -> SweepResult:
     return SweepResult(candidates,
                        tuple(highest_bnd < a <= lowest_pos for a in range(len(candidates))),
                        tuple(highest_neg <= b < lowest_bnd for b in range(len(candidates))))
-
-
-def delta_regions(space: ApproximationSpace, concept: Concept, cutoff: Numeric) -> TriPartition:
-    """Crisp split at ``cutoff``: blocks at or above it are accepted, the rest rejected.
-
-    The boundary region is empty and no (alpha, beta) pair matters: this is
-    ``linguistic_regions`` with a step expression at ``cutoff`` and thresholds
-    (1, 0), so the degrees are the crisp 0/1 values.  Equal cutoffs share one
-    step expression, so a repeated call reads the space's kept block table.
-    """
-    return linguistic_regions(space, concept, _step_at(as_exact(cutoff, "cutoff")), Thresholds(1, 0))
-
-
-_step_at = lru_cache(maxsize=_KEPT_TABLES)(StepExpr)
 
 
 def coincides_with_pawlak(bounds: RegionBounds) -> bool:

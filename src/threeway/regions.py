@@ -6,11 +6,12 @@ and the degree decides the block's region against (alpha, beta), beta < alpha:
 :func:`linguistic_regions` builds that block table once; it is all a
 :class:`TriPartition` holds.  Bounds, intervals and reports read it, and the
 element sets and degrees are views derived from it on first use.  The
-probabilistic regions are the linguistic ones under the identity expression.
-A space keeps each block table it was built for, under the concept's members,
-the expression object and the thresholds, and every call wraps the kept table
-in a fresh tri-partition.  So an expression must be a pure function of its
-input, and must not change after its first use.
+probabilistic regions are the linguistic ones under the identity expression,
+the crisp delta regions those under a step expression.  A space keeps each
+block table it was built for, under the concept's members, the expression
+object and the thresholds, and every call wraps the kept table in a fresh
+tri-partition.  So an expression must be a pure function of its input, and
+must not change after its first use.
 
 Comparisons carry no epsilon.  Degrees are exact fractions on the
 probabilistic path and plain floats on the linguistic one; Python compares
@@ -24,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping
 
-from .expressions import IdentityExpr, Numeric
-from .spaces import ApproximationSpace, Concept
+from .expressions import IdentityExpr, Numeric, StepExpr, as_exact
+from .spaces import _KEPT_TABLES, ApproximationSpace, Concept
 
 REGION_NAMES = ("pos", "neg", "bnd")
 
@@ -121,6 +122,7 @@ def region_of_degree(degree: Numeric, thresholds: Thresholds) -> str:
 
 
 _IDENTITY = IdentityExpr()  # one object, so repeated calls find the kept table
+_step_at = lru_cache(maxsize=_KEPT_TABLES)(StepExpr)  # and one step expression per cutoff
 
 
 def probabilistic_regions(
@@ -128,6 +130,17 @@ def probabilistic_regions(
 ) -> TriPartition:
     """Regions from the raw inclusion ratios (degrees are exact fractions)."""
     return linguistic_regions(space, concept, _IDENTITY, thresholds)
+
+
+def delta_regions(space: ApproximationSpace, concept: Concept, cutoff: Numeric) -> TriPartition:
+    """Crisp split at ``cutoff``: blocks at or above it are accepted, the rest rejected.
+
+    The boundary region is empty and no (alpha, beta) pair matters: this is
+    ``linguistic_regions`` with a step expression at ``cutoff`` and thresholds
+    (1, 0), so the degrees are the crisp 0/1 values.  Equal cutoffs share one
+    step expression, so a repeated call reads the space's kept block table.
+    """
+    return linguistic_regions(space, concept, _step_at(as_exact(cutoff, "cutoff")), Thresholds(1, 0))
 
 
 def linguistic_regions(

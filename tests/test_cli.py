@@ -33,6 +33,7 @@ FIXTURE_FLAGS = {
     "equivalence_coupled_sample.txt": ("delta:0.5", "0.8", "0.2"),
     "equivalence_coupled_sample.json": ("delta:0.5", "0.8", "0.2"),
     "equivalence_hump_sample.txt": (HUMP_EXPR, "0.5", "0.1"),
+    "bounds_hump_sample.txt": (HUMP_EXPR, "0.8", "0.2"),
 }
 EVERYONE = "ids:" + ",".join(f"u{i}" for i in range(1, 33))
 PROBE = {"--prob-alpha": "0.3", "--prob-beta": "0.1"}  # a pair that reproduces (0.8, 0.2)
@@ -584,6 +585,7 @@ class TestGoldenOutput:
         ("regions", "text", "regions_sample.txt"),
         ("bounds", "json", "bounds_sample.json"),
         ("bounds", "text", "bounds_sample.txt"),
+        ("bounds", "text", "bounds_hump_sample.txt"),
         ("equivalence", "text", "equivalence_sample.txt"),
         ("equivalence", "text", "equivalence_coupled_sample.txt"),
         ("equivalence", "json", "equivalence_coupled_sample.json"),

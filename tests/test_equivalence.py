@@ -22,6 +22,7 @@ from threeway import (
     RegionBounds,
     StepExpr,
     SweepResult,
+    ThresholdEquivalence,
     ThresholdError,
     Thresholds,
     TriPartition,
@@ -42,7 +43,8 @@ from threeway import (
     verify_equivalence,
 )
 
-from threeway.equivalence import first_difference, intervals_of, sweep_of
+from threeway.equivalence import first_difference, format_endpoint, intervals_of, sweep_of
+from threeway.expressions import display_name
 from threeway.regions import REGION_NAMES
 
 from conftest import (
@@ -138,6 +140,56 @@ def block_tables(draw):
                        st.sampled_from(sorted({Fraction(n, d) for d in range(1, 7) for n in range(d + 1)})))
     return block_table(draw(st.lists(ratios, min_size=size, max_size=size)),
                        draw(st.lists(st.sampled_from(REGION_NAMES), min_size=size, max_size=size)))
+
+
+def cut_reference(tp: TriPartition, expr, upper: tuple[str, ...]):
+    """A threshold cut of the block table, kept as the reference for ``intervals_of``.
+
+    The highest block below the cut and the lowest above it, each ``(ratio,
+    block index)``, the blocks above being those whose region is in ``upper``.
+    A side with no block reads as ``(0, None)`` below and ``(1, None)`` above;
+    on equal ratios the block below is the highest index and the block above
+    the lowest.  Refuses when the side below has a ratio at or above the side
+    above's.
+    """
+    table = tuple(zip(tp.ratios, range(len(tp.ratios)), tp.block_regions))
+    below = max(((r, i) for r, i, region in table if region not in upper), default=(Fraction(0), None))
+    above = min(((r, i) for r, i, region in table if region in upper), default=(Fraction(1), None))
+    if below[0] >= above[0]:
+        (low_ratio, low), (high_ratio, high) = below, above
+        labels, regions = tp.space.labels, tp.block_regions
+        if low is None or high is None:
+            ratio, index = above if low is None else below
+            bound, region = ("beta' >= 0", "neg") if low is None else ("alpha' <= 1", "pos")
+            why = (f"puts block {labels[index]!r} (ratio {format_endpoint(ratio)}) in the "
+                   f"{regions[index]!r} region, but every {bound} puts ratio {ratio} in the {region!r} region")
+        else:
+            why = (f"is not increasing on the attained ratios: block {labels[low]!r} (ratio "
+                   f"{format_endpoint(low_ratio)}) is in the {regions[low]!r} region but block "
+                   f"{labels[high]!r} (ratio {format_endpoint(high_ratio)}) "
+                   f"is in the {regions[high]!r} region")
+        raise NonMonotoneExpressionError(
+            f"expression {display_name(expr)!r} {why}; no probabilistic threshold pair reproduces these regions"
+        )
+    return below, above
+
+
+def reference_intervals(tp: TriPartition, expr) -> ThresholdEquivalence:
+    """The intervals read off two :func:`cut_reference` cuts, the beta' cut first."""
+    empty = tp.empty_regions
+    if len(empty) >= 2:
+        present = next(name for name in ("pos", "neg", "bnd") if name not in empty)
+        raise DegenerateRegionsError(
+            f"only the {present!r} region is non-empty (it covers the whole universe); "
+            "the threshold characterization needs at least two non-empty regions"
+        )
+    neg_top, rest_bottom = cut_reference(tp, expr, ("bnd", "pos"))
+    rest_top, pos_bottom = cut_reference(tp, expr, ("pos",))
+    return ThresholdEquivalence(
+        case=EmptinessCase(f"{empty[0]}_empty" if empty else "all_nonempty"),
+        alpha_interval=Interval(rest_top[0], pos_bottom[0], True, False),
+        beta_interval=Interval(neg_top[0], rest_bottom[0], False, True),
+    )
 
 
 WITNESSES = re.compile(r"block '(B\d+)' \(ratio [^)]*\) is in the '(\w+)' region "
@@ -242,6 +294,16 @@ class TestInterval:
     def test_out_of_order_rejected(self):
         with pytest.raises(ValueError):
             Interval(Fraction(1), Fraction(0), False, False)
+
+    @pytest.mark.parametrize("lo_open, hi_open", [(True, False), (False, True), (True, True)])
+    def test_empty_rejected(self, lo_open, hi_open):
+        with pytest.raises(ValueError, match="empty interval"):
+            Interval(Fraction(1, 2), Fraction(1, 2), lo_open, hi_open)
+
+    def test_closed_point_accepted(self):
+        point = Interval(Fraction(1, 2), Fraction(1, 2), False, False)
+        assert point.contains(Fraction(1, 2))
+        assert not point.contains(Fraction(1, 3)) and not point.contains(Fraction(2, 3))
 
 
 class TestEquivalentIntervals:
@@ -552,6 +614,27 @@ class TestArbitraryBlockTables:
         # every characterization it returns admits a pair
         assert sweep.admitted() != ()
         assert sweep.agrees_with(equivalence)
+
+
+class TestIntervalsReference:
+    """The intervals read off the bounds equal those read off the two cuts, refusals included."""
+
+    @settings(max_examples=300)
+    @given(block_tables())
+    @example(block_table([Fraction(1), Fraction(0)], ["bnd", "neg"]))
+    @example(block_table([Fraction(0), Fraction(1)], ["bnd", "pos"]))
+    # two blocks out of order at the alpha' cut, and tied blocks at ratio 1 with pos empty
+    @example(block_table([Fraction(2, 3), Fraction(1, 3), Fraction(0)], ["bnd", "pos", "neg"]))
+    @example(block_table([Fraction(1), Fraction(1), Fraction(0)], ["bnd", "bnd", "neg"]))
+    def test_same_intervals_or_refusal(self, tp):
+        try:
+            expected = reference_intervals(tp, IdentityExpr())
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                intervals_of(tp, IdentityExpr())
+            assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+            return
+        assert repr(intervals_of(tp, IdentityExpr())) == repr(expected)
 
 
 class TestAgreesWith:
