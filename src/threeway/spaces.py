@@ -65,8 +65,8 @@ class ApproximationSpace:
     ``elements`` keeps the caller's order (e.g. CSV row order); ``blocks``
     are canonical: each block sorted, blocks ordered by smallest element.
     Every element belongs to exactly one block, blocks are non-empty and
-    pairwise disjoint, and their union is the universe; construction rejects
-    anything else.
+    pairwise disjoint, their union is the universe, and no two blocks share
+    a label; construction rejects anything else.
     """
 
     __slots__ = ("elements", "blocks", "labels", "_block_of", "_tables", "_members")
@@ -107,6 +107,9 @@ class ApproximationSpace:
         self.elements: tuple[str, ...] = elements
         self.blocks: tuple[tuple[str, ...], ...] = tuple(block for block, _ in pairs)
         self.labels: tuple[str, ...] = tuple(f"B{i + 1}" if label is None else label for i, (_, label) in enumerate(pairs))
+        if len(set(self.labels)) != len(self.labels):
+            shared = sorted(label for label, count in Counter(self.labels).items() if count > 1)
+            raise DataError(f"duplicate block label(s): {', '.join(map(repr, shared))}")
         self._block_of: dict[str, int] = seen
         self._tables: dict[tuple, tuple] = {}
         self._members: tuple = (None, None)  # the last member set asked for, and its kept equal
@@ -213,8 +216,10 @@ def from_attribute_table(
     """Derive a space from a row-per-element table.
 
     Two elements land in the same block exactly when their ``key_columns``
-    tuples are equal.  Block labels are the joined key values, so a single
-    "community" column yields block labels like ``C3``.
+    tuples are equal.  A single "community" column yields its values as block
+    labels, like ``C3``; a multi-column key is labelled as one CSV record, a
+    value that holds ``,`` or ``"`` quoted with its quotes doubled, so two
+    keys never share a label.
     """
     elements, *keys = _read_columns(rows, id_column, key_columns)
     if not keys:
@@ -222,7 +227,14 @@ def from_attribute_table(
     groups: dict[tuple[str, ...], list[str]] = {}
     for element, key in zip(elements, zip(*keys)):
         groups.setdefault(key, []).append(element)
-    return ApproximationSpace(elements, groups.values(), labels=[",".join(k) for k in groups])
+    labels = [k[0] if len(k) == 1 else ",".join(map(_csv_field, k)) for k in groups]
+    return ApproximationSpace(elements, groups.values(), labels=labels)
+
+
+def _csv_field(value: str) -> str:
+    if "," in value or '"' in value:
+        return '"' + value.replace('"', '""') + '"'
+    return value
 
 
 _TRUE_WORDS = {"1", "true", "yes", "y"}

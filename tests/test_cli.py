@@ -23,18 +23,11 @@ from threeway.expressions import builtin, expression_to_json_dict
 from conftest import dip_instance, write_seeded_table
 from test_expressions import MEDIUM_HUMP, SMALL_LIKE
 
-SAMPLE_CSV = Path(__file__).resolve().parent.parent / "sample_data" / "communities.csv"
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
-SRC = Path(__file__).resolve().parent.parent / "src"
-HUMP_EXPR = f"file:{FIXTURES / 'medium_hump.json'}"
-# Sample fixtures captured with other (--expr, --alpha, --beta) than (not_small, 0.8, 0.2):
-# delta:0.5 empties the boundary, and the non-increasing hump keeps its ratios in region order.
-FIXTURE_FLAGS = {
-    "equivalence_coupled_sample.txt": ("delta:0.5", "0.8", "0.2"),
-    "equivalence_coupled_sample.json": ("delta:0.5", "0.8", "0.2"),
-    "equivalence_hump_sample.txt": (HUMP_EXPR, "0.5", "0.1"),
-    "bounds_hump_sample.txt": (HUMP_EXPR, "0.8", "0.2"),
-}
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE_CSV = ROOT / "sample_data" / "communities.csv"
+FIXTURES = ROOT / "tests" / "fixtures"
+SRC = ROOT / "src"
+GOLDEN_FILE = FIXTURES / "golden.txt"
 EVERYONE = "ids:" + ",".join(f"u{i}" for i in range(1, 33))
 PROBE = {"--prob-alpha": "0.3", "--prob-beta": "0.1"}  # a pair that reproduces (0.8, 0.2)
 
@@ -43,6 +36,28 @@ BASE = [
     "--key", "community",
     "--concept", "sport",
 ]
+
+
+def golden_runs() -> list:
+    """``golden.txt``'s runs as (fixture, exit status, pinned stream, argv), each named by its line."""
+    runs = []
+    for number, line in enumerate(GOLDEN_FILE.read_text(encoding="utf-8").splitlines(), 1):
+        if line and not line.startswith("#"):
+            fixture, status, stream, *argv = line.split()
+            runs.append(pytest.param(fixture, int(status), stream, argv, id=f"{fixture}:{number}"))
+    return runs
+
+
+GOLDEN = golden_runs()
+
+
+def fixture_text(name: str) -> str:
+    """A golden fixture, which its line in ``golden.txt`` pins to the CLI's output."""
+    return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def fixture_json(name: str) -> dict:
+    return json.loads(fixture_text(name))
 
 
 def with_segment_0(**fields) -> dict:
@@ -62,23 +77,15 @@ def invoke(runner, *args):
 
 
 class TestRegionsCommand:
-    def test_text_report(self, runner):
-        result = invoke(runner, "regions", *BASE, "--expr", "not_small",
-                        "--alpha", "0.8", "--beta", "0.2")
-        assert result.exit_code == 0
-        assert "block C3" in result.output
-        assert "C5 is accepted" in result.output
-        assert "C1 is rejected" in result.output
-        assert "C6 is abstained" in result.output
+    def test_text_report(self):
+        output = fixture_text("regions_sample.txt")
+        assert "block C3" in output
+        assert "C5 is accepted" in output
+        assert "C1 is rejected" in output
+        assert "C6 is abstained" in output
 
-    def test_json_is_byte_stable(self, runner):
-        args = ["regions", *BASE, "--expr", "not_small",
-                "--alpha", "0.8", "--beta", "0.2", "--format", "json"]
-        first = invoke(runner, *args)
-        second = invoke(runner, *args)
-        assert first.exit_code == 0
-        assert first.output == second.output
-        data = json.loads(first.output)
+    def test_json_is_byte_stable(self):
+        data = fixture_json("regions_sample.json")
         accepted = [b["label"] for b in data["blocks"] if b["region"] == "pos"]
         assert accepted == ["C3", "C4", "C5"]
 
@@ -198,28 +205,22 @@ class TestRegionsCommand:
 
 
 class TestBoundsCommand:
-    def test_bounds_in_output(self, runner):
-        result = invoke(runner, "bounds", *BASE, "--expr", "not_small",
-                        "--alpha", "0.8", "--beta", "0.2")
-        assert result.exit_code == 0
-        assert "neg_max = 0" in result.output
-        assert "bnd_min = 1/7 ≈ 0.142857" in result.output
-        assert "pos_min = 2/5 ≈ 0.4" in result.output
+    def test_bounds_in_output(self):
+        output = fixture_text("bounds_sample.txt")
+        assert "neg_max = 0" in output
+        assert "bnd_min = 1/7 ≈ 0.142857" in output
+        assert "pos_min = 2/5 ≈ 0.4" in output
 
 
 class TestEquivalenceCommand:
-    def test_intervals_and_sweep(self, runner):
-        result = invoke(runner, "equivalence", *BASE, "--expr", "not_small",
-                        "--alpha", "0.8", "--beta", "0.2")
-        assert result.exit_code == 0
-        assert "alpha' in (1/5 ≈ 0.2, 2/5 ≈ 0.4]" in result.output
-        assert "beta' in [0, 1/7 ≈ 0.142857)" in result.output
-        assert "sweep agrees" in result.output
+    def test_intervals_and_sweep(self):
+        output = fixture_text("equivalence_sample.txt")
+        assert "alpha' in (1/5 ≈ 0.2, 2/5 ≈ 0.4]" in output
+        assert "beta' in [0, 1/7 ≈ 0.142857)" in output
+        assert "sweep agrees" in output
 
-    def test_json_schema(self, runner):
-        result = invoke(runner, "equivalence", *BASE, "--expr", "not_small",
-                        "--alpha", "0.8", "--beta", "0.2", "--format", "json")
-        data = json.loads(result.output)["equivalence"]
+    def test_json_schema(self):
+        data = fixture_json("equivalence_sample.json")["equivalence"]
         assert data["case"] == "all_nonempty"
         assert data["sweep_agrees"] is True
         assert data["alpha_interval"] == {"lo": 0.2, "lo_open": True, "hi": 0.4, "hi_open": False}
@@ -349,13 +350,6 @@ class TestEquivalenceCommand:
 
 
 class TestVerifyCommand:
-    def test_matching_pair_exits_0(self, runner):
-        result = invoke(runner, "verify", *BASE, "--expr", "not_small",
-                        "--alpha", "0.8", "--beta", "0.2",
-                        "--prob-alpha", "0.3", "--prob-beta", "0.1")
-        assert result.exit_code == 0
-        assert "coincide" in result.output
-
     def test_mismatch_exits_1_and_names_block(self, runner):
         result = invoke(runner, "verify", *BASE, "--expr", "not_small",
                         "--alpha", "0.8", "--beta", "0.2",
@@ -540,106 +534,49 @@ class TestClosedStdout:
 
 
 class TestSweepCommand:
-    def test_table_size(self, runner):
-        result = invoke(runner, "sweep", *BASE, "--expr", "not_small",
-                        "--alpha", "0.8", "--beta", "0.2", "--format", "json")
-        assert result.exit_code == 0
-        data = json.loads(result.output)
+    def test_table_size(self):
+        data = fixture_json("sweep_sample.json")
         assert len(data["candidates"]) == 12
         assert len(data["verdicts"]) == 66
         admitted = [(v["alpha"], v["beta"]) for v in data["verdicts"] if v["equivalent"]]
         assert len(admitted) == 4
 
-    def test_text_marks(self, runner):
-        result = invoke(runner, "sweep", *BASE, "--expr", "not_small",
-                        "--alpha", "0.8", "--beta", "0.2")
-        assert result.exit_code == 0
-        assert "= alpha'=3/10" in result.output
-        assert "x alpha'=1/2" in result.output
-
-
-class TestGoldenJson:
-    """JSON on the sample input must stay byte-identical to the committed fixtures."""
-
-    @pytest.mark.parametrize("command, fixture", [
-        ("sweep", "sweep_sample.json"),
-        ("equivalence", "equivalence_sample.json"),
-    ])
-    def test_sample_json_byte_identical(self, runner, command, fixture):
-        result = invoke(runner, command, *BASE, "--expr", "not_small",
-                        "--alpha", "0.8", "--beta", "0.2", "--format", "json")
-        assert result.exit_code == 0
-        assert result.stdout_bytes == (FIXTURES / fixture).read_bytes()
+    def test_text_marks(self):
+        output = fixture_text("sweep_sample.txt")
+        assert "= alpha'=3/10" in output
+        assert "x alpha'=1/2" in output
 
 
 class TestGoldenOutput:
-    """The rest of the sample output, and digests on a seeded 10k-row table.
+    """Every run in ``fixtures/golden.txt`` against its fixture, and digests on a seeded 10k-row table.
 
-    Captured from the code before the block-table pipeline, like the JSON
-    fixtures above (the text digests before the report read the block table
-    in place); a change to any of them is a change of behaviour.
+    A change to any of them is a change of behaviour.
     """
 
-    @pytest.mark.parametrize("command, fmt, fixture", [
-        ("regions", "json", "regions_sample.json"),
-        ("regions", "text", "regions_sample.txt"),
-        ("bounds", "json", "bounds_sample.json"),
-        ("bounds", "text", "bounds_sample.txt"),
-        ("bounds", "text", "bounds_hump_sample.txt"),
-        ("equivalence", "text", "equivalence_sample.txt"),
-        ("equivalence", "text", "equivalence_coupled_sample.txt"),
-        ("equivalence", "json", "equivalence_coupled_sample.json"),
-        ("equivalence", "text", "equivalence_hump_sample.txt"),
-        ("sweep", "text", "sweep_sample.txt"),
-    ])
-    def test_sample_byte_identical(self, runner, command, fmt, fixture):
-        expr, alpha, beta = FIXTURE_FLAGS.get(fixture, ("not_small", "0.8", "0.2"))
-        result = invoke(runner, command, *BASE, "--expr", expr,
-                        "--alpha", alpha, "--beta", beta, "--format", fmt)
-        assert result.exit_code == 0
-        assert result.stdout_bytes == (FIXTURES / fixture).read_bytes()
-        assert result.stderr_bytes == b""
+    @pytest.mark.parametrize("fixture, status, stream, argv", GOLDEN)
+    def test_golden_run(self, runner, monkeypatch, fixture, status, stream, argv):
+        monkeypatch.chdir(ROOT)
+        result = runner.invoke(main, argv, catch_exceptions=False)
+        other = {"stdout": "stderr", "stderr": "stdout"}[stream]
+        assert result.exit_code == status
+        assert getattr(result, f"{stream}_bytes") == (FIXTURES / fixture).read_bytes()
+        assert getattr(result, f"{other}_bytes") == b""
 
-    def test_breakpoint_owner_byte_identical(self, runner):
+    def test_every_fixture_is_checked(self):
+        checked = {GOLDEN_FILE} | {
+            path
+            for fixture, _, _, argv in (case.values for case in GOLDEN)
+            for path in (FIXTURES / fixture, *(ROOT / arg.removeprefix("file:") for arg in argv))
+        }
+        assert {path for path in FIXTURES.rglob("*") if path.is_file()} - checked == set()
+
+    def test_breakpoint_owner(self):
         # group "peak" sits at 4/25, not_small's breakpoint b, which the rising
         # piece owns (the falling piece would give 0.42624728850325366); the
         # other two groups sit at ratios 0 and 1
-        result = invoke(runner, "regions", "--input", str(FIXTURES / "breakpoints.csv"),
-                        "--key", "group", "--concept", "x", "--expr", "not_small",
-                        "--alpha", "0.8", "--beta", "0.2", "--format", "json")
-        assert result.exit_code == 0
-        assert result.stdout_bytes == (FIXTURES / "regions_breakpoints.json").read_bytes()
-        assert result.stderr_bytes == b""
-        peak, none, everyone = json.loads(result.stdout)["blocks"]
+        peak, none, everyone = fixture_json("regions_breakpoints.json")["blocks"]
         assert (peak["ratio"], peak["degree"]) == (0.16, 0.42650233372228713)
         assert (none["ratio"], everyone["ratio"]) == (0.0, 1.0)
-
-    def test_hump_verify_coincides(self, runner):
-        # a pair inside the hump fixture's intervals, checked by the direct route
-        result = invoke(runner, "verify", *BASE, "--expr", HUMP_EXPR,
-                        "--alpha", "0.5", "--beta", "0.1",
-                        "--prob-alpha", "0.3", "--prob-beta", "0.15")
-        assert result.exit_code == 0
-        assert result.stdout_bytes == b"tri-partitions coincide\n"
-        assert result.stderr_bytes == b""
-
-    def test_hump_refusal_byte_identical(self, runner):
-        # at (0.8, 0.2) the hump leaves C5 (4/5) in the boundary above C4 (3/5) in pos
-        result = invoke(runner, "equivalence", *BASE, "--expr", HUMP_EXPR,
-                        "--alpha", "0.8", "--beta", "0.2")
-        assert result.exit_code == 4
-        assert result.stdout_bytes == b""
-        assert result.stderr_bytes == (FIXTURES / "equivalence_hump_refusal.txt").read_bytes()
-
-    def test_unreachable_bound_refusal_byte_identical(self, runner):
-        # x^2/2 leaves group A (ratio 1) in the boundary with pos empty; every
-        # alpha' <= 1 accepts ratio 1, so no pair reproduces the regions
-        result = invoke(runner, "equivalence", "--input", str(FIXTURES / "two_groups.csv"),
-                        "--key", "group", "--concept", "x", "--expr", f"file:{FIXTURES / 'half.json'}",
-                        "--alpha", "0.8", "--beta", "0.2")
-        assert result.exit_code == 4
-        assert result.stdout_bytes == b""
-        assert result.stderr_bytes == (FIXTURES / "equivalence_half_refusal.txt").read_bytes()
 
     def test_verify_mismatch_byte_identical(self, runner):
         result = invoke(runner, "verify", *BASE, "--expr", "not_small",
@@ -649,32 +586,23 @@ class TestGoldenOutput:
         assert result.stdout_bytes == (FIXTURES / "verify_mismatch_sample.txt").read_bytes()
         assert result.stderr_bytes == b""
 
-    @pytest.mark.parametrize("command, digest", [
-        ("regions", "3aa9fdc210f0495add0c770be2e39a7ee5136cb8493ce8b1a68dc23281dd20b4"),
-        ("bounds", "b28c387f76688c2850769eab302d19ab4d10158b8e7f80b097613f265f44fd62"),
-        ("equivalence", "259cd2d8855432876885a499d3988051d4b46a0f5574099834d99b50ce7a7393"),
-        ("sweep", "9962a7b58a01295c9715884902038ed557fd91c9fb2afc400c0df66fa193dc85"),
+    @pytest.mark.parametrize("command, fmt, digest", [
+        ("regions", "json", "3aa9fdc210f0495add0c770be2e39a7ee5136cb8493ce8b1a68dc23281dd20b4"),
+        ("bounds", "json", "b28c387f76688c2850769eab302d19ab4d10158b8e7f80b097613f265f44fd62"),
+        ("equivalence", "json", "259cd2d8855432876885a499d3988051d4b46a0f5574099834d99b50ce7a7393"),
+        ("sweep", "json", "9962a7b58a01295c9715884902038ed557fd91c9fb2afc400c0df66fa193dc85"),
+        ("regions", "text", "d42ccd2dde4a8de2b0589705be1c77cec03fc3e50210435dc122f59b9d152a91"),
+        ("bounds", "text", "43dcebf3224ef6172bbaa51ebc0dc1ee2c8927ced7ffadc58d6eb9404dab2a31"),
+        ("equivalence", "text", "e5f63d22ef5b0581bc125addb83a6f8f5dc59246665c856d8dc052ebe91971bf"),
+        ("sweep", "text", "1f86a36220be90122d17e479c9a2ccf9087cb1503d34b23a500592c79da3deea"),
     ])
-    def test_seeded_table_digest(self, runner, tmp_path, command, digest):
-        assert seeded_table_digest(runner, tmp_path, command, "json") == digest
-
-    @pytest.mark.parametrize("command, digest", [
-        ("regions", "d42ccd2dde4a8de2b0589705be1c77cec03fc3e50210435dc122f59b9d152a91"),
-        ("bounds", "43dcebf3224ef6172bbaa51ebc0dc1ee2c8927ced7ffadc58d6eb9404dab2a31"),
-        ("equivalence", "e5f63d22ef5b0581bc125addb83a6f8f5dc59246665c856d8dc052ebe91971bf"),
-        ("sweep", "1f86a36220be90122d17e479c9a2ccf9087cb1503d34b23a500592c79da3deea"),
-    ])
-    def test_seeded_table_text_digest(self, runner, tmp_path, command, digest):
-        assert seeded_table_digest(runner, tmp_path, command, "text") == digest
-
-
-def seeded_table_digest(runner, tmp_path, command: str, fmt: str) -> str:
-    """The sha256 of one command's stdout on the seeded 10k-row table."""
-    table = tmp_path / "seeded.csv"
-    write_seeded_table(table)
-    result = invoke(runner, command, "--input", str(table), "--key", "grp",
-                    "--concept", "x", "--expr", "not_small",
-                    "--alpha", "0.8", "--beta", "0.2", "--format", fmt)
-    assert result.exit_code == 0
-    assert result.stderr_bytes == b""
-    return hashlib.sha256(result.stdout_bytes).hexdigest()
+    def test_seeded_table_digest(self, runner, tmp_path, command, fmt, digest):
+        """The sha256 of one command's stdout on the seeded 10k-row table."""
+        table = tmp_path / "seeded.csv"
+        write_seeded_table(table)
+        result = invoke(runner, command, "--input", str(table), "--key", "grp",
+                        "--concept", "x", "--expr", "not_small",
+                        "--alpha", "0.8", "--beta", "0.2", "--format", fmt)
+        assert result.exit_code == 0
+        assert result.stderr_bytes == b""
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,22 @@ class TestPartitionFromAttributes:
         space = from_attribute_table(rows, ["x", "y"])
         assert len(space.blocks) == 2
         assert space.block_of("a") == ("a", "c")
+
+    def test_comma_keys_get_their_own_labels(self):
+        # joined with a bare comma, the first two keys would both read p,q,r
+        rows = [
+            {"id": "a", "x": "p,q", "y": "r"},
+            {"id": "b", "x": "p", "y": "q,r"},
+            {"id": "c", "x": 'say "hi"', "y": "r"},
+        ]
+        assert from_attribute_table(rows, ["x", "y"]).labels == ('"p,q",r', 'p,"q,r"', '"say ""hi""",r')
+        assert from_attribute_table(rows, ["x"]).labels == ("p,q", "p", 'say "hi"')
+
+    @given(st.lists(st.tuples(*[st.text(alphabet='pq,"', max_size=3)] * 2), min_size=1, max_size=6))
+    def test_multi_column_label_reads_back_as_its_key(self, keys):
+        rows = [{"id": f"e{i}", "x": x, "y": y} for i, (x, y) in enumerate(keys)]
+        space = from_attribute_table(rows, ["x", "y"])
+        assert sorted(tuple(next(csv.reader([label]))) for label in space.labels) == sorted(set(keys))
 
     def test_unknown_column(self):
         with pytest.raises(DataError, match="unknown column 'tribe'"):
@@ -168,6 +185,8 @@ class TestRefusals:
     @pytest.mark.parametrize("build, message", [
         (lambda: ApproximationSpace(["a", "b"], [["a"], ["b"]], labels=["A"]),
          "one label per block is required"),
+        (lambda: ApproximationSpace(["a", "b", "c"], [["a"], ["b"], ["c"]], labels=["A", "B", "A"]),
+         "duplicate block label(s): 'A'"),
         (lambda: from_attribute_table(community_rows(), []), "at least one key column is required"),
         (lambda: concept_from_column([], "x"), "the table is empty"),
         (lambda: from_attribute_table([], []), "the table is empty"),
@@ -177,7 +196,7 @@ class TestRefusals:
          "unknown column 'flag'"),
         (lambda: from_attribute_table([{}], ["k"]), "the table has no columns"),
         (lambda: concept_from_column([{}], "x"), "the table has no columns"),
-    ], ids=["labels_short", "no_key_column", "concept_from_empty_table", "space_from_empty_table",
+    ], ids=["labels_short", "labels_shared", "no_key_column", "concept_from_empty_table", "space_from_empty_table",
             "later_row_lacks_key_column", "later_row_lacks_concept_column",
             "space_from_columnless_table", "concept_from_columnless_table"])
     def test_typed_error_and_message(self, build, message):
