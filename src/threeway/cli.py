@@ -28,7 +28,6 @@ has no reader is killed by SIGPIPE, as ``cat`` is (141 in a shell), with no
 from __future__ import annotations
 
 import functools
-import json
 import os
 import signal
 import sys
@@ -134,11 +133,11 @@ def warn_on_threshold_ties(tp: TriPartition, thresholds: Thresholds) -> None:
 
 
 def emit(result, fmt: str) -> None:
-    """Print a result (a report or a sweep) through its ``to_json_dict`` or ``to_text``."""
-    if fmt == "json":
-        click.echo(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
-    else:
-        click.echo(result.to_text(), nl=False)
+    """Write a report or a sweep as it is rendered: its ``to_text()``, or
+    ``json.dumps(result.to_json_dict(), indent=2, sort_keys=True)`` and a newline."""
+    for chunk in result.json_chunks() if fmt == "json" else result.text_chunks():
+        sys.stdout.write(chunk)
+    sys.stdout.flush()  # inside the run, so a reader gone by the last chunk ends it by SIGPIPE
 
 
 def _fail(code: int, message: str) -> None:

@@ -54,11 +54,11 @@ pair of these c <= 2k + 1 candidates (k distinct ratios) on the same block
 table, never on element sets: each attained ratio's wanted region is its
 block's region.  The result is two verdict vectors, one over alpha' and one
 over beta'; the pair table (one verdict per beta' < alpha') is a view derived
-on first read, and the text and JSON forms are rendered from the vectors, row
-by row in the same pair order.  The sweep reads no bound and no interval and
-assumes no monotonicity; wherever the intervals are given, its table must
-match them on every pair.  :func:`sweep_equivalence_oracle` builds the
-tri-partition and delegates.
+on first read, and the text and JSON forms are rendered from the vectors and
+yielded an alpha' row at a time, in pair order.  The sweep reads no bound and
+no interval and assumes no monotonicity; wherever the intervals are given,
+its table must match them on every pair.  :func:`sweep_equivalence_oracle`
+builds the tri-partition and delegates.
 """
 
 from __future__ import annotations
@@ -67,10 +67,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .expressions import Numeric, display_name
 from .regions import Thresholds, TriPartition, linguistic_regions, region_of_degree
+from .render import bracket, render
 from .spaces import ApproximationSpace, Concept
 
 
@@ -344,13 +345,27 @@ class SweepResult:
                 "verdicts": [{"alpha": values[a], "beta": beta_p, "equivalent": ok}
                              for a, row in self._rows() for beta_p, ok in zip(values, row)]}
 
-    def to_text(self) -> str:
+    def json_chunks(self) -> Iterator[str]:
+        """``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)`` and a newline, an alpha' row at a time."""
+        shown = [render(float(c)) for c in self.candidates]
+        ends = (',\n      "equivalent": false\n    }', ',\n      "equivalent": true\n    }')
+        yield '{\n  "candidates": ' + bracket("[]", shown, "\n  ") + ',\n  "verdicts": ['
+        for a, row in self._rows():
+            if a:  # row 0 is empty
+                head = '\n    {\n      "alpha": ' + shown[a] + ',\n      "beta": '
+                yield ("," if a > 1 else "") + head + ("," + head).join([b + ends[ok] for b, ok in zip(shown, row)])
+        yield ("\n  ]" if len(shown) > 1 else "]") + "\n}\n"
+
+    def text_chunks(self) -> Iterator[str]:
+        """:meth:`to_text` a line or an alpha' row at a time."""
         shown = [format_endpoint(c) for c in self.candidates]
-        lines = [f"{len(shown)} candidate values, {len(shown) * (len(shown) - 1) // 2} pairs\n"]
+        yield f"{len(shown)} candidate values, {len(shown) * (len(shown) - 1) // 2} pairs\n"
         for a, row in self._rows():  # one string per alpha' row, not one per pair
-            lines.append("".join(f"  {'=' if ok else 'x'} alpha'={shown[a]} beta'={beta_p}\n"
-                                 for beta_p, ok in zip(shown, row)))
-        return "".join(lines)
+            yield "".join(f"  {'=' if ok else 'x'} alpha'={shown[a]} beta'={beta_p}\n"
+                          for beta_p, ok in zip(shown, row))
+
+    def to_text(self) -> str:
+        return "".join(self.text_chunks())
 
     def agrees_with(self, equivalence: ThresholdEquivalence) -> bool:
         """True when every verdict matches the interval characterization.

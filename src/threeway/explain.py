@@ -10,19 +10,20 @@ decimals in prose and at full precision in the JSON form.
 
 A report is the tri-partition it describes plus what was derived from it
 (bounds, intervals, the sweep's verdict), rendered from the block table; only
-the JSON form reads the element view (``regions``), so text output builds no
-element set.
+``to_json_dict`` builds element sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import partial
 from typing import Optional
 
 from .equivalence import RegionBounds, SweepResult, ThresholdEquivalence, format_endpoint
 from .expressions import display_name, quantifier_for
 from .regions import REGION_NAMES, Thresholds, TriPartition
+from .render import bracket, quote, render
 from .spaces import Concept
 
 
@@ -49,6 +50,11 @@ class Explanation:
     quantifier: Optional[str] = None
 
 
+def _shown(label: str) -> str:
+    """A label or an id as one line of text holds it: one with a line break as its JSON string."""
+    return quote(label) if "\n" in label or "\r" in label else label
+
+
 def _explain(tp: TriPartition, expr, index: int, subject: str, concept_label: str) -> Explanation:
     """Block ``index``'s decision, degree and sentence, said of ``subject``."""
     decision = _DECISION_BY_REGION[tp.block_regions[index]]
@@ -56,10 +62,10 @@ def _explain(tp: TriPartition, expr, index: int, subject: str, concept_label: st
     block = tp.space.labels[index]
     quantifier = quantifier_for(expr)
     if quantifier is not None:
-        clause = f"{quantifier} members of {block} are in {concept_label}"
+        clause = f"{quantifier} members of {_shown(block)} are in {concept_label}"
     else:
-        clause = f"the share of {block} members in {concept_label} counts as '{display_name(expr)}'"
-    sentence = f"The degree to which {clause} is {degree:.2f}, so {subject} is {decision.value}."
+        clause = f"the share of {_shown(block)} members in {concept_label} counts as '{display_name(expr)}'"
+    sentence = f"The degree to which {clause} is {degree:.2f}, so {_shown(subject)} is {decision.value}."
     return Explanation(subject, block, decision, degree, sentence, quantifier)
 
 
@@ -122,7 +128,7 @@ class AnalysisReport:
         tp = self.tp
         for index, why in enumerate(self._explanations()):
             lines.append(
-                f"block {why.block} ({len(tp.space.blocks[index])} elements): "
+                f"block {_shown(why.block)} ({len(tp.space.blocks[index])} elements): "
                 f"ratio {format_endpoint(tp.ratios[index])}, degree {why.degree:.4g}, "
                 f"region {_REGION_WORD[tp.block_regions[index]]}"
             )
@@ -147,7 +153,8 @@ class AnalysisReport:
             lines.append("sweep agrees" if self.sweep_agrees else "sweep DISAGREES")
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
+    def _json_form(self, elements, regions) -> dict:
+        """The JSON form, each block's element list given as ``elements(block)`` and ``regions`` as given."""
         tp = self.tp
         data: dict = {
             "concept": self.concept_label,
@@ -157,7 +164,7 @@ class AnalysisReport:
             "blocks": [
                 {
                     "label": why.block,
-                    "elements": list(tp.space.blocks[index]),
+                    "elements": elements(tp.space.blocks[index]),
                     "ratio": float(tp.ratios[index]),
                     "degree": why.degree,
                     "region": tp.block_regions[index],
@@ -167,7 +174,7 @@ class AnalysisReport:
             ],
             "region_sizes": self.region_sizes,
             "notes": list(self.notes),
-            "regions": tp.to_json_dict(),
+            "regions": regions,
         }
         if self.bounds is not None:
             data["bounds"] = {
@@ -179,6 +186,17 @@ class AnalysisReport:
             if self.sweep_agrees is not None:
                 data["equivalence"]["sweep_agrees"] = self.sweep_agrees
         return data
+
+    def to_json_dict(self) -> dict:
+        return self._json_form(list, self.tp.to_json_dict())
+
+    def json_chunks(self) -> tuple[str]:
+        """``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)`` and a newline, rendered a block at a time."""
+        data = self._json_form(lambda block: partial(bracket, "[]", list(map(quote, block))), self.tp.json_text)
+        return (render(data) + "\n",)
+
+    def text_chunks(self) -> tuple[str]:
+        return (self.to_text(),)
 
 
 def report(

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Mapping
 
 from .expressions import IdentityExpr, Numeric, StepExpr, as_exact
+from .render import bracket, quote, render
 from .spaces import _KEPT_TABLES, ApproximationSpace, Concept
 
 REGION_NAMES = ("pos", "neg", "bnd")
@@ -103,13 +104,25 @@ class TriPartition:
 
     def to_json_dict(self) -> dict:
         """Stable JSON form: ids sorted, degrees as floats."""
+        degrees, block_of = [float(d) for d in self.block_degrees], self.space._block_of
         return {
             "pos": sorted(self.pos),
             "neg": sorted(self.neg),
             "bnd": sorted(self.bnd),
-            "degrees": {e: float(self.degrees[e]) for e in sorted(self.degrees)},
+            "degrees": {e: degrees[block_of[e]] for e in sorted(block_of)},
             "empty_regions": list(self.empty_regions),
         }
+
+    def json_text(self, indent: str) -> str:
+        """``render(self.to_json_dict(), indent)``, from one pass over the sorted universe."""
+        degrees, block_of = [render(float(d)) for d in self.block_degrees], self.space._block_of
+        views: dict[str, list[str]] = {name: [] for name in (*REGION_NAMES, "degrees")}
+        for element in sorted(block_of):
+            index, quoted = block_of[element], quote(element)
+            views[self.block_regions[index]].append(quoted)
+            views["degrees"].append(f"{quoted}: {degrees[index]}")
+        fields = {name: partial(bracket, "{}" if name == "degrees" else "[]", items) for name, items in views.items()}
+        return render({**fields, "empty_regions": list(self.empty_regions)}, indent)
 
 
 def region_of_degree(degree: Numeric, thresholds: Thresholds) -> str:

@@ -532,6 +532,27 @@ class TestClosedStdout:
         assert done.returncode == -signal.SIGPIPE
         assert b"error:" not in done.stderr and b"Broken pipe" not in done.stderr
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_reader_gone_mid_stream(self, tmp_path, fmt):
+        """A reader that takes a few KB of a streamed sweep and exits kills the run by SIGPIPE."""
+        table = tmp_path / "seeded.csv"
+        write_seeded_table(table)
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "threeway.cli", "sweep", "--input", str(table), "--key", "grp",
+             "--concept", "x", "--expr", "not_small", "--alpha", "0.8", "--beta", "0.2", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+        )
+        try:
+            assert len(child.stdout.read(4096)) == 4096  # the output is megabytes: the run is mid-stream
+            child.stdout.close()
+            stderr = child.communicate(timeout=120)[1]
+            assert child.returncode == -signal.SIGPIPE
+        finally:
+            child.kill()
+            child.wait()
+        assert b"error:" not in stderr and b"Traceback" not in stderr
+
 
 class TestSweepCommand:
     def test_table_size(self):

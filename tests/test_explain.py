@@ -235,5 +235,6 @@ class TestReport:
                         sweep=sweep_equivalence_oracle(space, sport, expr, TH))
         assert "region sizes: positive 15, negative 5, boundary 12" in result.to_text()
         assert not {"pos", "neg", "bnd", "degrees"} & tp.__dict__.keys()
+        "".join(result.json_chunks())
         result.to_json_dict()
-        assert {"pos", "neg", "bnd", "degrees"} <= tp.__dict__.keys()
+        assert "degrees" not in tp.__dict__  # the JSON form builds no element-degree mapping
