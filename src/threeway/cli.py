@@ -14,7 +14,9 @@ Every subcommand builds the linguistic tri-partition once, warns on stderr
 when alpha or beta equals an attained degree, and works from that block
 table: ``verify`` reads the probe's regions off the same ratios and names the
 first block where the two routes differ.  The four ``--format`` commands
-print a report or a sweep result through one writer, :func:`emit`.
+print a report or a sweep result through one writer, :func:`emit`.  Flags
+are parsed by :mod:`argparse`; a value that begins with ``-`` and is not a
+number is written ``--flag=value`` (``--concept=-x``).
 
 Exit codes: 0 success (for ``verify``: tri-partitions coincide), 1 ``verify``
 mismatch, 2 configuration error, 3 data error, 4 a higher attained ratio lands
@@ -27,13 +29,11 @@ has no reader is killed by SIGPIPE, as ``cat`` is (141 in a shell), with no
 
 from __future__ import annotations
 
-import functools
+import argparse
 import os
 import signal
 import sys
 from fractions import Fraction
-
-import click
 
 from . import equivalence as eq
 from . import explain as xp
@@ -48,13 +48,7 @@ from .expressions import (
     load_expression,
 )
 from .regions import Thresholds, ThresholdError, TriPartition, linguistic_regions, region_of_degree
-from .spaces import (
-    Concept,
-    DataError,
-    concept_from_column,
-    from_attribute_table,
-    load_table,
-)
+from .spaces import Concept, DataError, concept_from_column, from_attribute_table, load_table
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -77,20 +71,19 @@ def parse_expression(spec: str):
         return builtin(spec)
     if spec == "identity":
         return IdentityExpr()
+    arg = spec.partition(":")[2]
     if spec.startswith("delta:"):
-        raw = spec.split(":", 1)[1]
         try:
-            return StepExpr(raw)
+            return StepExpr(arg)
         except ExpressionError as exc:
-            raise ConfigError(f"bad delta cutoff {raw!r}: {exc}") from exc
+            raise ConfigError(f"bad delta cutoff {arg!r}: {exc}") from exc
     if spec.startswith("file:"):
-        path = spec.split(":", 1)[1]
         try:
-            return load_expression(path)
+            return load_expression(arg)
         except OSError as exc:  # missing, a directory, unreadable
-            raise ConfigError(f"cannot read expression file {path}: {exc.strerror}") from None
+            raise ConfigError(f"cannot read expression file {arg}: {exc.strerror}") from None
         except ExpressionError as exc:
-            raise ConfigError(f"bad expression file {path}: {exc}") from exc
+            raise ConfigError(f"bad expression file {arg}: {exc}") from exc
     raise ConfigError(f"unknown expression {spec!r}; expected one of {EXPRESSION_FORMS}")
 
 
@@ -125,11 +118,8 @@ def warn_on_threshold_ties(tp: TriPartition, thresholds: Thresholds) -> None:
     attained = set(tp.block_degrees)
     for name, value in (("alpha", thresholds.alpha), ("beta", thresholds.beta)):
         if value in attained:
-            click.echo(
-                f"warning: {name}={value} exactly equals an attained degree; "
-                "the assignment at that boundary is tie-sensitive",
-                err=True,
-            )
+            print(f"warning: {name}={value} exactly equals an attained degree; "
+                  "the assignment at that boundary is tie-sensitive", file=sys.stderr)
 
 
 def emit(result, fmt: str) -> None:
@@ -141,24 +131,26 @@ def emit(result, fmt: str) -> None:
 
 
 def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
+#: Each option is a flag and its ``add_argument`` keywords; one without a default is required.
 SHARED_OPTIONS = (
-    click.option("--input", "input_path", required=True, help="CSV file; first column is the element id."),
-    click.option("--key", required=True, help="comma-separated key column(s) defining the partition"),
-    click.option("--concept", "concept_spec", required=True, help="boolean column name, or ids:a,b,c"),
-    click.option("--expr", "expr_spec", required=True, help=EXPRESSION_FORMS),
-    click.option("--alpha", required=True, help="acceptance threshold in [0, 1]"),
-    click.option("--beta", required=True, help="rejection threshold in [0, 1], below alpha"),
+    ("--input", dict(dest="input_path", help="CSV file; first column is the element id.")),
+    ("--key", dict(help="comma-separated key column(s) defining the partition")),
+    ("--concept", dict(dest="concept_spec", help="boolean column name, or ids:a,b,c")),
+    ("--expr", dict(dest="expr_spec", help=EXPRESSION_FORMS)),
+    ("--alpha", dict(help="acceptance threshold in [0, 1]")),
+    ("--beta", dict(help="rejection threshold in [0, 1], below alpha")),
 )
-format_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
+FORMAT_OPTION = ("--format", dict(dest="fmt", choices=("text", "json"), default="text",
+                                  help="output format (default: %(default)s)"))
 
-
-@click.group()
-def main() -> None:
-    """Three-way decision regions, threshold equivalence, and explanations."""
+#: The ``threeway`` parser; :func:`analysis_command` adds each subcommand to it.
+PARSER = argparse.ArgumentParser(prog="threeway", allow_abbrev=False,
+                                 description="Three-way decision regions, threshold equivalence, and explanations.")
+_SUBCOMMANDS = PARSER.add_subparsers(required=True)
 
 
 def analysis_command(*extra_options):
@@ -173,7 +165,6 @@ def analysis_command(*extra_options):
     """
 
     def register(body):
-        @functools.wraps(body)
         def command(input_path, key, concept_spec, expr_spec, alpha, beta, **extra) -> None:
             try:
                 space, concept = load_inputs(input_path, key, concept_spec)
@@ -198,26 +189,28 @@ def analysis_command(*extra_options):
                 traceback.print_exc()
                 sys.exit(EXIT_INTERNAL)
 
-        for option in reversed(SHARED_OPTIONS + extra_options):
-            command = option(command)
-        return main.command()(command)
+        subparser = _SUBCOMMANDS.add_parser(body.__name__, help=body.__doc__, description=body.__doc__, allow_abbrev=False)
+        for flag, kwargs in SHARED_OPTIONS + extra_options:
+            subparser.add_argument(flag, required="default" not in kwargs, **kwargs)
+        subparser.set_defaults(run=command)
+        return body
 
     return register
 
 
-@analysis_command(format_option)
+@analysis_command(FORMAT_OPTION)
 def regions(tp, expr, thresholds, concept, fmt) -> None:
     """Compute the three regions and explain each block's assignment."""
     emit(xp.report(tp, expr, thresholds, concept), fmt)
 
 
-@analysis_command(format_option)
+@analysis_command(FORMAT_OPTION)
 def bounds(tp, expr, thresholds, concept, fmt) -> None:
     """Print the extreme inclusion ratios attained inside each region."""
     emit(xp.report(tp, expr, thresholds, concept, bounds=eq.bounds_of(tp)), fmt)
 
 
-@analysis_command(format_option)
+@analysis_command(FORMAT_OPTION)
 def equivalence(tp, expr, thresholds, concept, fmt) -> None:
     """Bounds, the equivalent probabilistic threshold intervals, and the sweep check."""
     emit(xp.report(tp, expr, thresholds, concept, bounds=eq.bounds_of(tp),
@@ -225,8 +218,8 @@ def equivalence(tp, expr, thresholds, concept, fmt) -> None:
 
 
 @analysis_command(
-    click.option("--prob-alpha", required=True, help="probabilistic acceptance threshold to verify"),
-    click.option("--prob-beta", required=True, help="probabilistic rejection threshold to verify"),
+    ("--prob-alpha", dict(help="probabilistic acceptance threshold to verify")),
+    ("--prob-beta", dict(help="probabilistic rejection threshold to verify")),
 )
 def verify(tp, expr, thresholds, concept, prob_alpha, prob_beta) -> None:
     """Exit 0 when the probabilistic pair reproduces the linguistic regions, 1 otherwise."""
@@ -237,19 +230,23 @@ def verify(tp, expr, thresholds, concept, prob_alpha, prob_beta) -> None:
     probe = Thresholds(pa, pb)
     idx = eq.first_difference(tp, probe)
     if idx is None:
-        click.echo("tri-partitions coincide")
+        print("tri-partitions coincide", flush=True)  # flushed inside the run, as emit is
         sys.exit(EXIT_OK)
-    click.echo(
-        f"tri-partitions differ: block {tp.space.labels[idx]} is {tp.block_regions[idx]!r} "
-        f"linguistically but {region_of_degree(tp.ratios[idx], probe)!r} probabilistically"
-    )
+    print(f"tri-partitions differ: block {xp.shown(tp.space.labels[idx])} is {tp.block_regions[idx]!r} "
+          f"linguistically but {region_of_degree(tp.ratios[idx], probe)!r} probabilistically", flush=True)
     sys.exit(EXIT_MISMATCH)
 
 
-@analysis_command(format_option)
+@analysis_command(FORMAT_OPTION)
 def sweep(tp, expr, thresholds, concept, fmt) -> None:
     """Brute-force verdict table over every decision-relevant candidate pair."""
     emit(eq.sweep_of(tp), fmt)
+
+
+def main(argv=None) -> None:
+    """Parse ``argv`` (default: the process's arguments) and run the subcommand it names."""
+    args = vars(PARSER.parse_args(argv))
+    args.pop("run")(**args)
 
 
 if __name__ == "__main__":  # pragma: no cover

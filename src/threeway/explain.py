@@ -50,28 +50,28 @@ class Explanation:
     quantifier: Optional[str] = None
 
 
-def _shown(label: str) -> str:
-    """A label or an id as one line of text holds it: one with a line break as its JSON string."""
+def shown(label: str) -> str:
+    """A label, an id or a name as one line of text holds it: one with a line break as its JSON string."""
     return quote(label) if "\n" in label or "\r" in label else label
 
 
-def _explain(tp: TriPartition, expr, index: int, subject: str, concept_label: str) -> Explanation:
-    """Block ``index``'s decision, degree and sentence, said of ``subject``."""
+def _explain(tp: TriPartition, expr, index: int, subject: str, concept: str) -> Explanation:
+    """Block ``index``'s decision, degree and sentence, said of ``subject`` and of ``concept``, a label as shown."""
     decision = _DECISION_BY_REGION[tp.block_regions[index]]
     degree = float(tp.block_degrees[index])
     block = tp.space.labels[index]
     quantifier = quantifier_for(expr)
     if quantifier is not None:
-        clause = f"{quantifier} members of {_shown(block)} are in {concept_label}"
+        clause = f"{quantifier} members of {shown(block)} are in {concept}"
     else:
-        clause = f"the share of {_shown(block)} members in {concept_label} counts as '{display_name(expr)}'"
-    sentence = f"The degree to which {clause} is {degree:.2f}, so {_shown(subject)} is {decision.value}."
+        clause = f"the share of {shown(block)} members in {concept} counts as '{shown(display_name(expr))}'"
+    sentence = f"The degree to which {clause} is {degree:.2f}, so {shown(subject)} is {decision.value}."
     return Explanation(subject, block, decision, degree, sentence, quantifier)
 
 
 def explain_element(tp: TriPartition, expr, element: str, concept_label: str) -> Explanation:
     """Explain one element's assignment in the given tri-partition."""
-    return _explain(tp, expr, tp.space.block_index(element), element, concept_label)
+    return _explain(tp, expr, tp.space.block_index(element), element, shown(concept_label))
 
 
 #: The report's notes on empty regions, in the order they are printed.
@@ -115,20 +115,21 @@ class AnalysisReport:
 
     def _explanations(self) -> list[Explanation]:
         """Each block's explanation, the block said of itself, indexed like the block table."""
-        return [_explain(self.tp, self.expr, index, label, self.concept_label)
+        concept = shown(self.concept_label)
+        return [_explain(self.tp, self.expr, index, label, concept)
                 for index, label in enumerate(self.tp.space.labels)]
 
     def to_text(self) -> str:
         lines = [
-            f"concept: {self.concept_label}",
-            f"expression: {self.expression_name}",
+            f"concept: {shown(self.concept_label)}",
+            f"expression: {shown(self.expression_name)}",
             f"thresholds: alpha={self.thresholds.alpha}, beta={self.thresholds.beta}",
             "",
         ]
         tp = self.tp
         for index, why in enumerate(self._explanations()):
             lines.append(
-                f"block {_shown(why.block)} ({len(tp.space.blocks[index])} elements): "
+                f"block {shown(why.block)} ({len(tp.space.blocks[index])} elements): "
                 f"ratio {format_endpoint(tp.ratios[index])}, degree {why.degree:.4g}, "
                 f"region {_REGION_WORD[tp.block_regions[index]]}"
             )

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 from threeway import ApproximationSpace
 from threeway import cli as cli_module
@@ -67,13 +69,42 @@ def with_segment_0(**fields) -> dict:
     return data
 
 
+class Stream(io.StringIO):
+    """One captured stream, each write also copied to ``mixed``, as a terminal shows both."""
+
+    def __init__(self, mixed: io.StringIO):
+        super().__init__()
+        self.mixed = mixed
+
+    def write(self, text: str) -> int:
+        self.mixed.write(text)
+        return super().write(text)
+
+
+class Runner:
+    """Runs the CLI in-process: its exit status, stdout, stderr, and the two as one ``output``."""
+
+    def invoke(self, main, args) -> SimpleNamespace:
+        output = io.StringIO()
+        stdout, stderr = Stream(output), Stream(output)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                main(list(args))
+                exit_code = 0
+            except SystemExit as exc:
+                exit_code = exc.code or 0
+        out, err = stdout.getvalue(), stderr.getvalue()
+        return SimpleNamespace(exit_code=exit_code, output=output.getvalue(), stdout=out, stderr=err,
+                               stdout_bytes=out.encode(), stderr_bytes=err.encode())
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def invoke(runner, *args):
-    return runner.invoke(main, list(args), catch_exceptions=False)
+    return runner.invoke(main, args)
 
 
 class TestRegionsCommand:
@@ -156,6 +187,17 @@ class TestRegionsCommand:
                         "--expr", "not_small", "--alpha", "0.8", "--beta", "0.2")
         assert result.exit_code == 3
         assert "ghost" in result.stderr
+
+    def test_concept_column_with_a_line_break(self, runner, tmp_path):
+        # a CSV column name can hold a line break; an argv line in golden.txt cannot
+        path = tmp_path / "newline_column.csv"
+        path.write_text('id,g,"x\ny"\na,A,1\nb,B,0\n', encoding="utf-8")
+        result = invoke(runner, "regions", "--input", str(path), "--key", "g", "--concept", "x\ny",
+                        "--expr", "not_small", "--alpha", "0.8", "--beta", "0.2")
+        assert result.exit_code == 0
+        assert result.stdout.startswith('concept: "x\\ny"\n')
+        assert result.stdout.count('are in "x\\ny" is') == 2
+        assert "x\ny" not in result.stdout
 
 
     @pytest.mark.parametrize("row, fields", [("u2,C1", 2), ("u2,C1,1,extra", 4)])
@@ -423,6 +465,39 @@ class TestStageCalls:
         assert not {"pos", "neg", "bnd", "degrees"} & built[0].__dict__.keys()
 
 
+class TestParser:
+    """Usage errors exit 2, and only the standard library is loaded to parse a run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["regions", "--inp", str(SAMPLE_CSV), *BASE[2:], "--expr", "not_small", "--alpha", "0.8", "--beta", "0.2"],
+        [],
+        ["regions", *BASE, "--expr", "not_small", "--alpha", "0.8", "--beta", "0.2", "--format", "xml"],
+    ], ids=["abbreviated_flag", "no_subcommand", "unknown_format"])
+    def test_usage_error_exits_2(self, runner, argv):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert result.stdout == "" and "usage: threeway" in result.stderr
+
+    def test_value_that_begins_with_a_dash(self, runner, tmp_path):
+        path = tmp_path / "dash.csv"
+        path.write_text("id,g,-x\na,A,1\nb,B,0\n", encoding="utf-8")
+        args = ["--input", str(path), "--key", "g", "--expr", "not_small", "--alpha", "0.8", "--beta", "0.2"]
+        result = invoke(runner, "regions", *args, "--concept=-x")
+        assert result.exit_code == 0
+        assert result.stdout.startswith("concept: -x\n")
+        assert invoke(runner, "regions", *args, "--concept", "-x").exit_code == 2
+
+    def test_imports_only_the_standard_library(self):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; before = set(sys.modules); import threeway.cli; "
+             "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+             " - set(sys.stdlib_module_names) - {'threeway'}))"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
 class TestSharedOptions:
     def test_every_subcommand_is_registered(self, runner):
         result = invoke(runner, "--help")
@@ -577,7 +652,7 @@ class TestGoldenOutput:
     @pytest.mark.parametrize("fixture, status, stream, argv", GOLDEN)
     def test_golden_run(self, runner, monkeypatch, fixture, status, stream, argv):
         monkeypatch.chdir(ROOT)
-        result = runner.invoke(main, argv, catch_exceptions=False)
+        result = runner.invoke(main, argv)
         other = {"stdout": "stderr", "stderr": "stdout"}[stream]
         assert result.exit_code == status
         assert getattr(result, f"{stream}_bytes") == (FIXTURES / fixture).read_bytes()
