@@ -22,9 +22,9 @@ Exit codes: 0 success (for ``verify``: tri-partitions coincide), 1 ``verify``
 mismatch, 2 configuration error, 3 data error, 4 a higher attained ratio lands
 in a lower region (no probabilistic pair reproduces the regions), 5 degenerate
 tri-partition (two or more empty regions), 70 internal error (any other
-exception: a bug, reported with its traceback on stderr).  A run whose stdout
-has no reader is killed by SIGPIPE, as ``cat`` is (141 in a shell), with no
-``error:`` line.
+exception: a bug, reported with its traceback on stderr).  A run or a help
+whose stdout has no reader is killed by SIGPIPE, as ``cat`` is (141 in a
+shell), with no ``error:`` line.
 """
 
 from __future__ import annotations
@@ -147,9 +147,18 @@ SHARED_OPTIONS = (
 FORMAT_OPTION = ("--format", dict(dest="fmt", choices=("text", "json"), default="text",
                                   help="output format (default: %(default)s)"))
 
+
+class _Parser(argparse.ArgumentParser):
+    """Help and usage writes that raise, as the run's do; argparse's own swallow ``OSError``."""
+
+    def _print_message(self, message, file=None):
+        (file or sys.stderr).write(message)
+        (file or sys.stderr).flush()
+
+
 #: The ``threeway`` parser; :func:`analysis_command` adds each subcommand to it.
-PARSER = argparse.ArgumentParser(prog="threeway", allow_abbrev=False,
-                                 description="Three-way decision regions, threshold equivalence, and explanations.")
+PARSER = _Parser(prog="threeway", allow_abbrev=False,
+                 description="Three-way decision regions, threshold equivalence, and explanations.")
 _SUBCOMMANDS = PARSER.add_subparsers(required=True)
 
 
@@ -159,35 +168,18 @@ def analysis_command(*extra_options):
     The shared options are parsed in a fixed order (input, key, concept,
     expression, alpha, beta).  The linguistic tri-partition is built from them
     once and checked for threshold ties, then the function is called as
-    ``body(tp, expr, thresholds, concept, **extra)``.  Every library error
-    raised on the way maps to its exit code; any other exception is a bug, and
-    ends with its traceback and exit 70.
+    ``body(tp, expr, thresholds, concept, **extra)``; :func:`main` maps what
+    it raises to an exit code.
     """
 
     def register(body):
         def command(input_path, key, concept_spec, expr_spec, alpha, beta, **extra) -> None:
-            try:
-                space, concept = load_inputs(input_path, key, concept_spec)
-                expr = parse_expression(expr_spec)
-                thresholds = Thresholds(parse_decimal(alpha, "--alpha"), parse_decimal(beta, "--beta"))
-                tp = linguistic_regions(space, concept, expr, thresholds)
-                warn_on_threshold_ties(tp, thresholds)
-                body(tp, expr, thresholds, concept, **extra)
-            except BrokenPipeError:  # stdout closed: end as SIGPIPE ends `cat`, not as a data error
-                signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-                os.kill(os.getpid(), signal.SIGPIPE)
-            except (ConfigError, ThresholdError, ExpressionError, DomainError) as exc:
-                _fail(EXIT_CONFIG, str(exc))
-            except (DataError, OSError) as exc:
-                _fail(EXIT_DATA, str(exc))
-            except eq.NonMonotoneExpressionError as exc:
-                _fail(EXIT_NON_MONOTONE, str(exc))
-            except eq.DegenerateRegionsError as exc:
-                _fail(EXIT_DEGENERATE, str(exc))
-            except Exception:  # not an input or configuration fault, so not exit 1-5
-                import traceback  # imported here, so start-up does not pay for it
-                traceback.print_exc()
-                sys.exit(EXIT_INTERNAL)
+            space, concept = load_inputs(input_path, key, concept_spec)
+            expr = parse_expression(expr_spec)
+            thresholds = Thresholds(parse_decimal(alpha, "--alpha"), parse_decimal(beta, "--beta"))
+            tp = linguistic_regions(space, concept, expr, thresholds)
+            warn_on_threshold_ties(tp, thresholds)
+            body(tp, expr, thresholds, concept, **extra)
 
         subparser = _SUBCOMMANDS.add_parser(body.__name__, help=body.__doc__, description=body.__doc__, allow_abbrev=False)
         for flag, kwargs in SHARED_OPTIONS + extra_options:
@@ -244,9 +236,27 @@ def sweep(tp, expr, thresholds, concept, fmt) -> None:
 
 
 def main(argv=None) -> None:
-    """Parse ``argv`` (default: the process's arguments) and run the subcommand it names."""
-    args = vars(PARSER.parse_args(argv))
-    args.pop("run")(**args)
+    """Parse ``argv`` (default: the process's arguments) and run the subcommand it names;
+    a library error exits with its code, any other exception with 70 (a bug, traceback
+    on stderr), and a stdout with no reader, for help too, ends the process by SIGPIPE."""
+    try:
+        args = vars(PARSER.parse_args(argv))
+        args.pop("run")(**args)
+    except BrokenPipeError:  # stdout closed: end as SIGPIPE ends `cat`, not as a data error
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGPIPE)
+    except (ConfigError, ThresholdError, ExpressionError, DomainError) as exc:
+        _fail(EXIT_CONFIG, str(exc))
+    except (DataError, OSError) as exc:
+        _fail(EXIT_DATA, str(exc))
+    except eq.NonMonotoneExpressionError as exc:
+        _fail(EXIT_NON_MONOTONE, str(exc))
+    except eq.DegenerateRegionsError as exc:
+        _fail(EXIT_DEGENERATE, str(exc))
+    except Exception:  # not an input or configuration fault, so not exit 1-5
+        import traceback  # imported here, so start-up does not pay for it
+        traceback.print_exc()
+        sys.exit(EXIT_INTERNAL)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,7 +7,7 @@ quadratic; custom expressions are restricted to the same three segment forms
 (constant, upward quadratic, downward quadratic), which is enough to express
 every hedge shape this library supports without a symbolic hedge calculus.
 A breakpoint belongs to the segment whose end includes it; construction
-checks that exactly one end does, so evaluation reads only the upper ends.
+checks that exactly one end does, so one lookup on the upper ends finds it.
 
 Step expressions (``at least t``) are the crisp special case: they output
 exactly 0 or 1 and are compared without any floating-point conversion.
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
@@ -179,6 +180,7 @@ class EvalExpr:
             raise ExpressionError("an expression needs at least one segment")
         segs = sorted(self.segments, key=lambda s: (s.lo, s.hi))
         object.__setattr__(self, "segments", tuple(segs))
+        object.__setattr__(self, "_ends", tuple((s.hi, s.hi_inclusive) for s in segs))
         self._check_tiling()
         self._check_breakpoint_gaps()
         if self.declared_monotone is not None:
@@ -217,14 +219,12 @@ class EvalExpr:
     def evaluate(self, x: Numeric) -> float:
         """Degree of the expression at ``x`` in [0, 1].
 
-        The first segment whose upper end admits ``x`` owns it; the tiling
-        check makes that sufficient.  Fraction inputs get exact breakpoint
-        ownership; the quadratic itself is evaluated in floating point.
+        One lookup on the upper ends finds the first segment that admits
+        ``x``, its owner by the tiling check.  Fraction inputs get exact
+        breakpoint ownership; the quadratic is evaluated in floating point.
         """
         _check_unit_interval(x)
-        for seg in self.segments:
-            if (x <= seg.hi if seg.hi_inclusive else x < seg.hi):
-                return seg.value(x)
+        return self.segments[bisect_right(self._ends, (x, False))].value(x)
 
 
 @dataclass(frozen=True)

@@ -585,27 +585,37 @@ class TestInternalError:
 
 
 class TestClosedStdout:
-    """A run whose stdout has no reader ends by SIGPIPE, as ``cat`` does, not as a data error."""
+    """A run or a help whose stdout has no reader ends by SIGPIPE, as ``cat`` does, not as a data error."""
+
+    @staticmethod
+    def assert_killed_by_sigpipe(argv):
+        """Buffered, the lost write surfaces at a flush; unbuffered, at the write itself."""
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+            read_end, write_end = os.pipe()
+            os.close(read_end)  # before the child writes a byte
+            try:
+                done = subprocess.run(
+                    [sys.executable, "-m", "threeway.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
+                    env={**env, **unbuffered, "PYTHONPATH": path}, timeout=120,
+                )
+            finally:
+                os.close(write_end)
+            assert done.returncode == -signal.SIGPIPE, unbuffered
+            for text in (b"error:", b"Broken pipe", b"Exception ignored", b"Traceback"):
+                assert text not in done.stderr, (unbuffered, done.stderr)
 
     @pytest.mark.parametrize("command, extra", [
         ("verify", ("--prob-alpha", "0.3", "--prob-beta", "0.1")),  # a coinciding pair
         ("regions", ()),
     ])
     def test_killed_by_sigpipe(self, command, extra):
-        read_end, write_end = os.pipe()
-        os.close(read_end)  # before the child writes a byte
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        try:
-            done = subprocess.run(
-                [sys.executable, "-m", "threeway.cli", command, *BASE, "--expr", "not_small",
-                 "--alpha", "0.8", "--beta", "0.2", *extra],
-                stdout=write_end, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
-                timeout=120,
-            )
-        finally:
-            os.close(write_end)
-        assert done.returncode == -signal.SIGPIPE
-        assert b"error:" not in done.stderr and b"Broken pipe" not in done.stderr
+        self.assert_killed_by_sigpipe([command, *BASE, "--expr", "not_small", "--alpha", "0.8", "--beta", "0.2", *extra])
+
+    @pytest.mark.parametrize("argv", [["--help"], ["regions", "--help"]], ids=["threeway", "regions"])
+    def test_help_killed_by_sigpipe(self, argv):
+        self.assert_killed_by_sigpipe(argv)
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_reader_gone_mid_stream(self, tmp_path, fmt):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -256,13 +257,14 @@ class TestMonotonicity:
 
 @st.composite
 def const_tilings(draw) -> EvalExpr:
-    """1-6 constant segments on a 1/60 breakpoint grid, one owner per breakpoint.
+    """1-64 constant segments on a 1/4000 breakpoint grid, one owner per breakpoint.
 
-    Consecutive values differ by 0.01, inside the breakpoint gap limit, so
-    the segments may rise or fall.
+    Every ``SCAN_STEPS`` grid lands on that grid.  Consecutive values differ
+    by 0.01, inside the breakpoint gap limit, so the segments may rise or fall.
     """
-    cuts = draw(st.lists(st.integers(1, 59), max_size=5, unique=True).map(sorted))
-    bounds = [Fraction(0), *(Fraction(k, 60) for k in cuts), Fraction(1)]
+    size = draw(st.integers(0, 63))
+    cuts = sorted(draw(st.lists(st.integers(1, 3999), min_size=size, max_size=size, unique=True)))
+    bounds = [Fraction(0), *(Fraction(k, 4000) for k in cuts), Fraction(1)]
     left_owns = draw(st.lists(st.booleans(), min_size=len(cuts), max_size=len(cuts)))
     hundredths = [draw(st.integers(0, 100))]
     for _ in cuts:
@@ -322,7 +324,33 @@ SCANNED = {
 }
 
 
+def _counted(name: str):
+    def compare(self, other):
+        self.comparisons += 1  # an instance count, started from the class's 0
+        return getattr(Fraction, name)(self, other)
+    return compare
+
+
+class CountingFraction(Fraction):
+    """A Fraction that counts the ``==``, ``<``, ``<=``, ``>`` and ``>=`` calls made on it."""
+
+    comparisons = 0
+    __hash__ = Fraction.__hash__
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(_counted, ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"))
+
+
 class TestBreakpointOwnership:
+    def test_owner_found_in_logarithmic_comparisons(self):
+        """A ratio's segment is looked up on the upper ends, not found by a scan of every segment."""
+        s = 4096
+        stair = EvalExpr("stair", tuple(
+            Segment(Fraction(i, s), Fraction(i + 1, s), i == 0, True, "const", c=i / (s - 1)) for i in range(s)
+        ))
+        for x, owner in ((1, s - 1), (Fraction(1, 2), s // 2 - 1), (Fraction(1, s), 0), (0, 0)):
+            probe = CountingFraction(x)
+            assert stair.evaluate(probe) == owner / (s - 1)
+            assert probe.comparisons <= 4 * math.log2(s) + 8, (x, probe.comparisons)
+
     @settings(max_examples=60)
     @given(const_tilings(), st.lists(st.fractions(0, 1), max_size=10))
     def test_the_segment_including_a_point_gives_its_value(self, expr, xs):
