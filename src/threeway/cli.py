@@ -19,12 +19,12 @@ are parsed by :mod:`argparse`; a value that begins with ``-`` and is not a
 number is written ``--flag=value`` (``--concept=-x``).
 
 Exit codes: 0 success (for ``verify``: tri-partitions coincide), 1 ``verify``
-mismatch, 2 configuration error, 3 data error, 4 a higher attained ratio lands
-in a lower region (no probabilistic pair reproduces the regions), 5 degenerate
-tri-partition (two or more empty regions), 70 internal error (any other
-exception: a bug, reported with its traceback on stderr).  A run or a help
-whose stdout has no reader is killed by SIGPIPE, as ``cat`` is (141 in a
-shell), with no ``error:`` line.
+mismatch, 2 configuration error (a stdout that cannot encode the text output
+too), 3 data error, 4 a higher attained ratio lands in a lower region (no
+probabilistic pair reproduces the regions), 5 degenerate tri-partition (two or
+more empty regions), 70 internal error (any other exception: a bug, reported
+with its traceback on stderr).  A run or a help whose stdout has no reader is
+killed by SIGPIPE, as ``cat`` is (141 in a shell), with no ``error:`` line.
 """
 
 from __future__ import annotations
@@ -247,6 +247,9 @@ def main(argv=None) -> None:
         os.kill(os.getpid(), signal.SIGPIPE)
     except (ConfigError, ThresholdError, ExpressionError, DomainError) as exc:
         _fail(EXIT_CONFIG, str(exc))
+    except UnicodeEncodeError as exc:  # ascii(): any stderr can write the message
+        _fail(EXIT_CONFIG, f"stdout ({exc.encoding}) cannot encode {ascii(exc.object[exc.start:exc.end])}; "
+                           "--format json writes ASCII only")
     except (DataError, OSError) as exc:
         _fail(EXIT_DATA, str(exc))
     except eq.NonMonotoneExpressionError as exc:

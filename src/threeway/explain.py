@@ -51,8 +51,8 @@ class Explanation:
 
 
 def shown(label: str) -> str:
-    """A label, an id or a name as one line of text holds it: one with a line break as its JSON string."""
-    return quote(label) if "\n" in label or "\r" in label else label
+    """A label, an id or a name as one line of text holds it: one not printable (a line break, an escape) as its JSON string."""
+    return label if label.isprintable() else quote(label)
 
 
 def _explain(tp: TriPartition, expr, index: int, subject: str, concept: str) -> Explanation:

@@ -7,11 +7,11 @@ and the degree decides the block's region against (alpha, beta), beta < alpha:
 :class:`TriPartition` holds.  Bounds, intervals and reports read it, and the
 element sets and degrees are views derived from it on first use.  The
 probabilistic regions are the linguistic ones under the identity expression,
-the crisp delta regions those under a step expression.  A space keeps each
-block table it was built for, under the concept's members, the expression
-object and the thresholds, and every call wraps the kept table in a fresh
-tri-partition.  So an expression must be a pure function of its input, and
-must not change after its first use.
+the crisp delta regions those under a step expression.  A space holds the
+block tables built on it, keyed by concept members, expression object and
+thresholds; :func:`linguistic_regions` replaces that store whole, taking no
+lock, and wraps a kept table in a fresh tri-partition.  So an expression must
+be a pure function of its input, and must not change after its first use.
 
 Comparisons carry no epsilon.  Degrees are exact fractions on the
 probabilistic path and plain floats on the linguistic one; Python compares
@@ -30,7 +30,7 @@ from typing import Mapping
 
 from .expressions import IdentityExpr, Numeric, StepExpr, as_exact
 from .render import bracket, quote, render
-from .spaces import _KEPT_TABLES, ApproximationSpace, Concept
+from .spaces import ApproximationSpace, Concept
 
 REGION_NAMES = ("pos", "neg", "bnd")
 
@@ -134,6 +134,7 @@ def region_of_degree(degree: Numeric, thresholds: Thresholds) -> str:
     return "bnd"
 
 
+_KEPT_TABLES = 64  # block tables a space keeps, the oldest dropped first
 _IDENTITY = IdentityExpr()  # one object, so repeated calls find the kept table
 _step_at = lru_cache(maxsize=_KEPT_TABLES)(StepExpr)  # and one step expression per cutoff
 
@@ -166,17 +167,30 @@ def linguistic_regions(
 
     ``expr`` is anything with an ``evaluate(x) -> degree`` method (a built-in
     or custom piecewise expression, a step expression, or the identity).  The
-    space keeps the block table per (concept members, expression object,
-    thresholds) and answers a repeated call from it without evaluating
-    ``expr`` again, so ``expr`` must be a pure function of ``x`` and must not
-    change after its first use.
+    space keeps the block table per (concept members, expression identity,
+    thresholds), with ``expr`` itself so that identity is not reused while it
+    is kept, and answers a repeated call without evaluating ``expr`` again: so
+    ``expr`` must be a pure function of ``x`` and must not change after its
+    first use.  Equal member sets share one key object.  A new table replaces
+    the store whole, so a reader sees one whole dict and takes no lock; of two
+    racing inserts one can be lost, and is built again on a later call.
     """
-    def build() -> tuple:
+    members, tables = concept.members, space._tables
+    seen, kept_members = space._members
+    if members is not seen:
+        kept_members = next((key[0] for key in tables if key[0] == members), members)
+        space._members = (members, kept_members)
+    key = (kept_members, id(expr), thresholds)
+    kept = tables.get(key)
+    if kept is None:
         ratios = tuple(space.block_ratios(concept).values())
         degrees = tuple(expr.evaluate(ratio) for ratio in ratios)
-        return ratios, degrees, tuple(region_of_degree(d, thresholds) for d in degrees)
-
-    return TriPartition(space, *space._block_table(concept, expr, thresholds, build))
+        kept = expr, (ratios, degrees, tuple(region_of_degree(d, thresholds) for d in degrees))
+        tables = {**tables, key: kept}
+        if len(tables) > _KEPT_TABLES:
+            del tables[next(iter(tables))]
+        space._tables = tables
+    return TriPartition(space, *kept[1])
 
 
 @dataclass(frozen=True)

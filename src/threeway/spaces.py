@@ -5,7 +5,7 @@ element identifiers together with an equivalence partition into blocks.  All
 set sizes are compared through exact integer fractions; nothing here touches
 floating point, so threshold comparisons downstream never suffer rounding
 ties.  Spaces are immutable after construction and safe to share; all a space
-adds later is a bounded memo of the block tables built on it.
+adds later is a store of block tables, which :mod:`.regions` fills and replaces.
 
 A partition can be given explicitly (a list of blocks) or derived from an
 attribute table: two elements share a block exactly when their key-column
@@ -18,12 +18,11 @@ as lists, and refuses an empty table or an unknown column in one place.
 from __future__ import annotations
 
 import csv
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class DataError(ValueError):
@@ -53,10 +52,6 @@ def relative_cardinality(part: Iterable[str], whole: Iterable[str]) -> Fraction:
         raise DataError("relative cardinality against an empty set is undefined")
     part = frozenset(part)
     return Fraction(len(part & whole), len(whole))
-
-
-_KEPT_TABLES = 64  # block tables a space keeps, the oldest dropped first
-_KEEPING = threading.Lock()  # held only to insert and evict; a read takes no lock
 
 
 class ApproximationSpace:
@@ -111,7 +106,7 @@ class ApproximationSpace:
             shared = sorted(label for label, count in Counter(self.labels).items() if count > 1)
             raise DataError(f"duplicate block label(s): {', '.join(map(repr, shared))}")
         self._block_of: dict[str, int] = seen
-        self._tables: dict[tuple, tuple] = {}
+        self._tables: dict[tuple, tuple] = {}  # kept block tables, which regions.linguistic_regions fills
         self._members: tuple = (None, None)  # the last member set asked for, and its kept equal
 
     # -- queries ------------------------------------------------------------
@@ -155,34 +150,6 @@ class ApproximationSpace:
             i: Fraction(len(concept.members.intersection(block)), len(block))
             for i, block in enumerate(self.blocks)
         }
-
-    def _block_table(self, concept: Concept, expr, thresholds, build: Callable[[], tuple]) -> tuple:
-        """The table ``build()`` returns for (concept, expr, thresholds), kept for the next such call.
-
-        The key holds the expression's identity, so any object serves, hashable
-        or not; the entry holds the expression itself, so that identity cannot
-        be reused while the entry lives, and a key that matches names the very
-        expression asked for.  Keys share one member set per value, so a
-        concept rebuilt with equal members is matched by identity after one
-        comparison, not by comparing every element on each call.
-        Concurrent callers may both build a missing table; either table is the
-        same.
-        """
-        members = concept.members
-        seen, kept_members = self._members
-        if members is not seen:
-            kept_members = next((key[0] for key in list(self._tables) if key[0] == members), members)
-            self._members = (members, kept_members)
-        key = (kept_members, id(expr), thresholds)
-        kept = self._tables.get(key)
-        if kept is not None:
-            return kept[1]
-        table = build()
-        with _KEEPING:
-            self._tables[key] = (expr, table)
-            if len(self._tables) > _KEPT_TABLES:
-                del self._tables[next(iter(self._tables))]
-        return table
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ApproximationSpace({len(self.elements)} elements, {len(self.blocks)} blocks)"
@@ -259,13 +226,13 @@ def concept_from_column(rows: Sequence[Row], column: str, id_column: Optional[st
 def load_table(path: str) -> list[dict[str, str]]:
     """Read a CSV table: header row required, first column is the element id.
 
-    Blank lines are skipped; a header that names a column twice is refused, and
-    so is a row whose field count differs from the header's, a file that is not
-    UTF-8, or one the csv module cannot parse (such as a field over its
-    131,072-character limit).
+    A leading byte-order mark is dropped and blank lines are skipped; a header
+    that names a column twice is refused, and so is a row whose field count
+    differs from the header's, a file that is not UTF-8, or one the csv module
+    cannot parse (such as a field over its 131,072-character limit).
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:

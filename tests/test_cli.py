@@ -69,6 +69,14 @@ def with_segment_0(**fields) -> dict:
     return data
 
 
+def child_env(**overrides) -> dict:
+    """This process's environment with ``src`` on ``PYTHONPATH``, for a child ``threeway``;
+    then ``overrides``, one of None unsetting its variable."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **overrides}
+    return {name: value for name, value in env.items() if value is not None}
+
+
 class Stream(io.StringIO):
     """One captured stream, each write also copied to ``mixed``, as a terminal shows both."""
 
@@ -188,16 +196,28 @@ class TestRegionsCommand:
         assert result.exit_code == 3
         assert "ghost" in result.stderr
 
-    def test_concept_column_with_a_line_break(self, runner, tmp_path):
-        # a CSV column name can hold a line break; an argv line in golden.txt cannot
+    @pytest.mark.parametrize("mark", ["\n", "\x1b", "\u2028", "\x85", "\u202e"],
+                             ids=["newline", "escape", "line_separator", "next_line", "bidi_override"])
+    def test_concept_column_with_a_line_break(self, runner, tmp_path, mark):
+        # a CSV column name can hold a line break or another unprintable character; an argv line
+        # in golden.txt cannot.  Written raw, each would end a line or restyle the terminal.
+        name = f"x{mark}y"
         path = tmp_path / "newline_column.csv"
-        path.write_text('id,g,"x\ny"\na,A,1\nb,B,0\n', encoding="utf-8")
-        result = invoke(runner, "regions", "--input", str(path), "--key", "g", "--concept", "x\ny",
+        path.write_text(f'id,g,"{name}"\na,A,1\nb,B,0\n', encoding="utf-8")
+        result = invoke(runner, "regions", "--input", str(path), "--key", "g", "--concept", name,
                         "--expr", "not_small", "--alpha", "0.8", "--beta", "0.2")
         assert result.exit_code == 0
-        assert result.stdout.startswith('concept: "x\\ny"\n')
-        assert result.stdout.count('are in "x\\ny" is') == 2
-        assert "x\ny" not in result.stdout
+        assert result.stdout.startswith(f"concept: {json.dumps(name)}\n")
+        assert result.stdout.count(f"are in {json.dumps(name)} is") == 2
+        assert name not in result.stdout
+
+    def test_a_leading_byte_order_mark_is_no_part_of_a_column_name(self, runner, tmp_path):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + SAMPLE_CSV.read_bytes())
+        args = ["--key", "user", "--concept", "sport", "--expr", "not_small", "--alpha", "0.8", "--beta", "0.2"]
+        plain, result = (invoke(runner, "regions", "--input", str(path), *args) for path in (SAMPLE_CSV, marked))
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout == plain.stdout
 
 
     @pytest.mark.parametrize("row, fields", [("u2,C1", 2), ("u2,C1,1,extra", 4)])
@@ -488,12 +508,11 @@ class TestParser:
         assert invoke(runner, "regions", *args, "--concept", "-x").exit_code == 2
 
     def test_imports_only_the_standard_library(self):
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         done = subprocess.run(
             [sys.executable, "-c", "import sys; before = set(sys.modules); import threeway.cli; "
              "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
              " - set(sys.stdlib_module_names) - {'threeway'}))"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+            capture_output=True, text=True, env=child_env(), timeout=120,
         )
         assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
@@ -590,15 +609,13 @@ class TestClosedStdout:
     @staticmethod
     def assert_killed_by_sigpipe(argv):
         """Buffered, the lost write surfaces at a flush; unbuffered, at the write itself."""
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        for unbuffered in (None, "1"):
             read_end, write_end = os.pipe()
             os.close(read_end)  # before the child writes a byte
             try:
                 done = subprocess.run(
                     [sys.executable, "-m", "threeway.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
-                    env={**env, **unbuffered, "PYTHONPATH": path}, timeout=120,
+                    env=child_env(PYTHONUNBUFFERED=unbuffered), timeout=120,
                 )
             finally:
                 os.close(write_end)
@@ -622,11 +639,10 @@ class TestClosedStdout:
         """A reader that takes a few KB of a streamed sweep and exits kills the run by SIGPIPE."""
         table = tmp_path / "seeded.csv"
         write_seeded_table(table)
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         child = subprocess.Popen(
             [sys.executable, "-m", "threeway.cli", "sweep", "--input", str(table), "--key", "grp",
              "--concept", "x", "--expr", "not_small", "--alpha", "0.8", "--beta", "0.2", "--format", fmt],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
         )
         try:
             assert len(child.stdout.read(4096)) == 4096  # the output is megabytes: the run is mid-stream
@@ -637,6 +653,22 @@ class TestClosedStdout:
             child.kill()
             child.wait()
         assert b"error:" not in stderr and b"Traceback" not in stderr
+
+
+class TestStdoutEncoding:
+    """A stdout that cannot encode the text output is a configuration error, not a bug."""
+
+    def test_text_exits_2_and_json_still_writes(self):
+        # the in-process runner cannot set a stream's encoding, so these run as children
+        argv = [sys.executable, "-m", "threeway.cli", "bounds", *BASE, "--expr", "not_small",
+                "--alpha", "0.8", "--beta", "0.2"]
+        env = child_env(PYTHONIOENCODING="ascii")
+        text = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+        assert text.returncode == 2
+        assert text.stderr == b"error: stdout (ascii) cannot encode '\\u2248'; --format json writes ASCII only\n"
+        done = subprocess.run([*argv, "--format", "json"], capture_output=True, env=env, timeout=120)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == (FIXTURES / "bounds_sample.json").read_bytes()
 
 
 class TestSweepCommand:

@@ -43,7 +43,7 @@ from threeway import (
     verify_equivalence,
 )
 
-from threeway.equivalence import first_difference, format_endpoint, intervals_of, sweep_of
+from threeway.equivalence import bounds_of, first_difference, format_endpoint, intervals_of, sweep_of
 from threeway.expressions import display_name
 from threeway.regions import REGION_NAMES
 
@@ -57,7 +57,7 @@ from conftest import (
     thirty_instance_modified,
     twenty_instance,
 )
-from test_expressions import MEDIUM_HUMP, SMALL_LIKE
+from test_expressions import MEDIUM_HUMP, SMALL_LIKE, Counting
 from test_regions import spaces_with_concepts, threshold_pairs
 
 TH_COMMUNITY = Thresholds(Fraction("0.8"), Fraction("0.2"))
@@ -768,3 +768,38 @@ class TestPawlakCoincidence:
         partial = RegionBounds(Fraction(0), None, None, Fraction(1))
         with pytest.raises(ValueError, match="all four bounds"):
             coincides_with_pawlak(partial)
+
+
+def replicated(space: ApproximationSpace, concept: Concept, m: int):
+    """``space`` and ``concept`` with every element present m times: its copies, under new ids,
+    share its block and its membership, so n grows m-fold while b, k and every ratio stay."""
+    def copies(element):
+        return [element, *(f"{element}~{j}" for j in range(1, m))]
+
+    elements = [c for e in space.elements for c in copies(e)]
+    blocks = [[c for e in block for c in copies(e)] for block in space.blocks]
+    members = frozenset(c for e in concept.members for c in copies(e))
+    return ApproximationSpace(elements, blocks, space.labels), Concept(members, concept.label)
+
+
+class TestReplication:
+    """Work after the ratio count depends on b and k, not n: replication changes no answer and no count."""
+
+    @staticmethod
+    def answers(space, concept, expr, thresholds) -> tuple:
+        counted = Counting(expr)  # a new object, so the table is built cold
+        tp = linguistic_regions(space, concept, counted, thresholds)
+        try:
+            intervals = intervals_of(tp, expr)
+        except (NonMonotoneExpressionError, DegenerateRegionsError) as exc:
+            intervals = (type(exc), str(exc))
+        sweep = sweep_of(tp)
+        return (len(counted.args), bounds_of(tp), intervals, sweep.alpha_ok, sweep.beta_ok,
+                "".join(sweep.json_chunks()))
+
+    @given(spaces_with_concepts(), SWEEP_EXPRESSIONS, threshold_pairs(), st.sampled_from([2, 3]))
+    def test_replicas_give_the_same_answers_from_the_same_work(self, space_concept, expr, thresholds, m):
+        space, concept = space_concept
+        original = self.answers(space, concept, expr, thresholds)
+        assert original[0] == len(space.blocks)  # one evaluation per block
+        assert self.answers(*replicated(space, concept, m), expr, thresholds) == original

@@ -36,7 +36,7 @@ from threeway import (
 
 from threeway.cli import parse_expression
 from threeway.equivalence import bounds_of, intervals_of
-from threeway.spaces import _KEPT_TABLES
+from threeway.regions import _KEPT_TABLES
 
 from conftest import (
     block_union,
@@ -345,6 +345,20 @@ class TestKeptTables:
         for th in (pairs[-1], pairs[1], pairs[0]):  # kept, kept, dropped
             linguistic_regions(space, sport, expr, th)
         assert expr.calls == 6 * (len(pairs) + 1)
+
+    def test_a_cold_call_replaces_the_store_whole(self, community):
+        space, sport = community
+        expr = CountingIdentity()
+        pairs = [Thresholds(Fraction(1), Fraction(i, 1000)) for i in range(_KEPT_TABLES + 1)]
+        for th in pairs[:-1]:
+            linguistic_regions(space, sport, expr, th)
+        full = space._tables
+        linguistic_regions(space, sport, expr, pairs[0])  # a hit leaves the store as it is
+        assert space._tables is full
+        linguistic_regions(space, sport, expr, pairs[-1])  # a miss past the cap
+        assert space._tables is not full
+        assert [key[2] for key in full] == pairs[:-1]  # what a reader holds never changes
+        assert [key[2] for key in space._tables] == pairs[1:]
 
     def test_a_kept_table_is_block_level(self, community):
         space, sport = community

@@ -317,6 +317,17 @@ class TestCsv:
                                              r"field larger than field limit"):
             load_table(str(path))
 
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" starts with U+FEFF, which is no part of the first column's name
+        path = tmp_path / "marked.csv"
+        path.write_text("\ufeffid,grp,x\na,G1,1\nb,G1,0\n", encoding="utf-8")
+        rows = load_table(str(path))
+        assert rows == [{"id": "a", "grp": "G1", "x": "1"}, {"id": "b", "grp": "G1", "x": "0"}]
+        assert from_attribute_table(rows, ["grp"], "id").blocks == (("a", "b"),)
+        path.write_bytes(b"\xef\xbb\xbfid,grp\na,Caf\xe9\n")
+        with pytest.raises(DataError, match=r"marked\.csv is not UTF-8 text: .*0xe9"):
+            load_table(str(path))
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("user,community\n\nu1,C1\n\nu2,C1\n", encoding="utf-8")
