@@ -20,7 +20,8 @@ number is written ``--flag=value`` (``--concept=-x``).
 
 Exit codes: 0 success (for ``verify``: tri-partitions coincide), 1 ``verify``
 mismatch, 2 configuration error (a stdout that cannot encode the text output
-too), 3 data error, 4 a higher attained ratio lands in a lower region (no
+too), 3 data error (a stdout that cannot be written, such as a full disk, too,
+buffered or not), 4 a higher attained ratio lands in a lower region (no
 probabilistic pair reproduces the regions), 5 degenerate tri-partition (two or
 more empty regions), 70 internal error (any other exception: a bug, reported
 with its traceback on stderr).  A run or a help whose stdout has no reader is
@@ -30,6 +31,7 @@ killed by SIGPIPE, as ``cat`` is (141 in a shell), with no ``error:`` line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import signal
 import sys
@@ -128,6 +130,19 @@ def emit(result, fmt: str) -> None:
     for chunk in result.json_chunks() if fmt == "json" else result.text_chunks():
         sys.stdout.write(chunk)
     sys.stdout.flush()  # inside the run, so a reader gone by the last chunk ends it by SIGPIPE
+
+
+def _discard_unwritable_stdout() -> None:
+    """Point stdout's descriptor at the null device when it still cannot take what is buffered
+    (a full disk), so the exit-time flush does not fail again; a stream with no descriptor is left as it is."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        with contextlib.suppress(OSError):  # io.UnsupportedOperation: an in-process stream
+            stdout = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout)
+            os.close(devnull)
 
 
 def _fail(code: int, message: str) -> None:
@@ -251,6 +266,7 @@ def main(argv=None) -> None:
         _fail(EXIT_CONFIG, f"stdout ({exc.encoding}) cannot encode {ascii(exc.object[exc.start:exc.end])}; "
                            "--format json writes ASCII only")
     except (DataError, OSError) as exc:
+        _discard_unwritable_stdout()
         _fail(EXIT_DATA, str(exc))
     except eq.NonMonotoneExpressionError as exc:
         _fail(EXIT_NON_MONOTONE, str(exc))

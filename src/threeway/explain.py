@@ -192,7 +192,8 @@ class AnalysisReport:
         return self._json_form(list, self.tp.to_json_dict())
 
     def json_chunks(self) -> tuple[str]:
-        """``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)`` and a newline, rendered a block at a time."""
+        """``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)`` and a newline, as one string,
+        each block's numbers formatted once; its memory grows with the output, unlike a sweep's rows."""
         data = self._json_form(lambda block: partial(bracket, "[]", list(map(quote, block))), self.tp.json_text)
         return (render(data) + "\n",)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import pairwise
 from typing import Optional, Union
@@ -348,30 +348,25 @@ def quantifier_for(expr) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 def expression_to_json_dict(expr: EvalExpr) -> dict:
-    """Serialize a piecewise expression to its JSON dictionary form."""
-    return {
-        "name": expr.name,
-        "segments": [
-            {
-                "lo": float(s.lo),
-                "lo_inclusive": s.lo_inclusive,
-                "hi": float(s.hi),
-                "hi_inclusive": s.hi_inclusive,
-                "form": s.form,
-                "a": s.a,
-                "d": s.d,
-                "c": s.c,
-            }
-            for s in expr.segments
-        ],
-    }
+    """Serialize a piecewise expression to its JSON dictionary form: its fields, bounds as floats,
+    an unset ``declared_monotone`` left out."""
+    data = {name: value for name, value in asdict(expr).items() if value is not None}
+    data["segments"] = [{**s, "lo": float(s["lo"]), "hi": float(s["hi"])} for s in data["segments"]]
+    return data
 
 
-def _coefficient(raw: dict, name: str, default: float, index: int) -> float:
+def _refuse_unknown_fields(raw: dict, cls, what: str) -> None:
+    """Refuse a key of ``raw`` that names no field of the dataclass ``cls``."""
+    known = {f.name for f in fields(cls)}
+    unknown = ", ".join(repr(key) for key in raw if key not in known)
+    if unknown:
+        raise ExpressionError(f"{what} has unknown field(s) {unknown}")
+
+
+def _coefficient(value, what: str) -> float:
     """A segment's ``a``/``d``/``c``: a number by :func:`as_exact`'s rule that fits a float."""
-    what = f"segment {index} {name}"
     try:
-        return float(as_exact(raw.get(name, default), what))
+        return float(as_exact(value, what))
     except OverflowError:  # an integer literal past the float range
         raise ExpressionError(f"{what} is too large for a float") from None
 
@@ -379,14 +374,14 @@ def _coefficient(raw: dict, name: str, default: float, index: int) -> float:
 def expression_from_json_dict(data: dict) -> EvalExpr:
     """Build and validate a piecewise expression from its JSON dictionary form.
 
-    Schema: ``{"name": str, "segments": [{"lo": num, "lo_inclusive": bool,
-    "hi": num, "hi_inclusive": bool, "form": "const"|"quad_up"|"quad_down",
-    "a": num, "d": num, "c": num}]}``.  ``a``/``d`` may be omitted for
-    constant segments and ``c`` for quadratic ones.  Anything else (a flag
-    that is not a JSON boolean, a non-numeric coefficient) is refused.
+    The keys are :class:`EvalExpr`'s fields, and in each segment
+    :class:`Segment`'s; a coefficient or ``declared_monotone`` left out takes
+    its default.  Anything else (an unknown key, a flag that is not a JSON
+    boolean, a non-numeric coefficient) is refused.
     """
     if not isinstance(data, dict):
         raise ExpressionError("expression JSON must be an object")
+    _refuse_unknown_fields(data, EvalExpr, "expression JSON")
     name = data.get("name")
     if not isinstance(name, str) or not name:
         raise ExpressionError("expression JSON needs a non-empty 'name'")
@@ -397,6 +392,7 @@ def expression_from_json_dict(data: dict) -> EvalExpr:
     for i, raw in enumerate(raw_segments):
         if not isinstance(raw, dict):
             raise ExpressionError(f"segment {i} must be an object")
+        _refuse_unknown_fields(raw, Segment, f"segment {i}")
         try:
             for flag in ("lo_inclusive", "hi_inclusive"):
                 if not isinstance(raw[flag], bool):
@@ -410,9 +406,7 @@ def expression_from_json_dict(data: dict) -> EvalExpr:
                     lo_inclusive=raw["lo_inclusive"],
                     hi_inclusive=raw["hi_inclusive"],
                     form=raw["form"],
-                    a=_coefficient(raw, "a", 0.0, i),
-                    d=_coefficient(raw, "d", 1.0, i),
-                    c=_coefficient(raw, "c", 0.0, i),
+                    **{k: _coefficient(raw[k], f"segment {i} {k}") for k in ("a", "d", "c") if k in raw},
                 )
             )
         except KeyError as exc:
@@ -424,8 +418,8 @@ def expression_from_json_dict(data: dict) -> EvalExpr:
 
 
 def load_expression(path: str) -> EvalExpr:
-    """Read a custom expression from a JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Read a custom expression from a JSON file; a leading UTF-8 byte-order mark is dropped."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle)
         except ValueError as exc:  # bad syntax, or an integer past the digit limit

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -567,11 +568,13 @@ class TestRefusals:
          "segment 0 lo must be a number, got False"),
         (("--expr", "file:{path}"), json.dumps(with_segment_0(hi=True)), 2,
          "segment 0 hi must be a number, got True"),
+        (("--expr", "file:{path}"), json.dumps(with_segment_0(value=0.7)), 2,
+         "segment 0 has unknown field(s) 'value'"),
         (("--prob-beta", "0.3"), None, 2, "--prob-beta must be strictly below --prob-alpha"),
         (("--prob-alpha", "1.5"), None, 2, "--prob-alpha must lie in [0, 1], got 1.5"),
     ], ids=["alpha_out_of_range", "empty_id_list", "empty_key", "empty_csv",
             "segment_not_an_object", "declared_monotone_not_boolean",
-            "boolean_lo", "boolean_hi", "probe_beta_not_below_alpha", "probe_alpha_out_of_range"])
+            "boolean_lo", "boolean_hi", "unknown_segment_field", "probe_beta_not_below_alpha", "probe_alpha_out_of_range"])
     def test_exit_code_and_message(self, runner, tmp_path, override, file_content, code, message):
         path = tmp_path / "input"
         if file_content is not None:
@@ -653,6 +656,41 @@ class TestClosedStdout:
             child.kill()
             child.wait()
         assert b"error:" not in stderr and b"Traceback" not in stderr
+
+
+class TestFullStdout:
+    """A stdout that cannot be written (a full disk) exits 3 with one ``error:`` line, buffered or not."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["regions", *BASE, "--expr", "not_small", "--alpha", "0.8", "--beta", "0.2"],
+        ["regions", *BASE, "--expr", "not_small", "--alpha", "0.8", "--beta", "0.2", "--format", "json"],
+        ["verify", *BASE, "--expr", "not_small", "--alpha", "0.8", "--beta", "0.2",
+         *(x for pair in PROBE.items() for x in pair)],
+        ["--help"],
+    ], ids=["regions", "json", "verify", "help"])
+    def test_exits_3_with_one_error_line(self, argv, unbuffered):
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run([sys.executable, "-m", "threeway.cli", *argv], stdout=full, stderr=subprocess.PIPE,
+                                  env=child_env(PYTHONUNBUFFERED=unbuffered), timeout=120)
+        lines = done.stderr.decode().splitlines()
+        assert done.returncode == 3, done.stderr
+        assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+        assert b"Exception ignored" not in done.stderr and b"Traceback" not in done.stderr
+
+    def test_in_process_stream_with_no_descriptor(self):
+        class Full(io.StringIO):
+            def write(self, *text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            flush = write
+
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(Full()), contextlib.redirect_stderr(stderr):
+            with pytest.raises(SystemExit) as done:
+                main(["regions", *BASE, "--expr", "not_small", "--alpha", "0.8", "--beta", "0.2"])
+        assert (done.value.code, stderr.getvalue()) == (3, "error: [Errno 28] No space left on device\n")
 
 
 class TestStdoutEncoding:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -552,6 +554,30 @@ class TestJson:
         path.write_text("[" * 200_000, encoding="utf-8")
         with pytest.raises(ExpressionError, match="nested.json nests arrays or objects too deeply"):
             load_expression(str(path))
+
+    @pytest.mark.parametrize("where, typo, message", [
+        ("top", {"declared_monotonic": True}, "expression JSON has unknown field(s) 'declared_monotonic'"),
+        ("segment", {"value": 0.7}, "segment 0 has unknown field(s) 'value'"),
+    ], ids=["top", "segment"])
+    def test_unknown_field_is_refused(self, where, typo, message):
+        data = expression_to_json_dict(builtin("not_small"))
+        (data if where == "top" else data["segments"][0]).update(typo)
+        with pytest.raises(ExpressionError) as caught:
+            expression_from_json_dict(data)
+        assert str(caught.value) == message
+
+    @settings(max_examples=60)
+    @given(st.one_of(const_tilings(), st.sampled_from(BUILTIN_NAMES).map(builtin)), st.booleans())
+    def test_json_round_trip_is_exact(self, expr, declare):
+        expr = EvalExpr(expr.name, expr.segments, is_increasing(expr) if declare else None)
+        text = json.dumps(expression_to_json_dict(expr))
+        assert expression_from_json_dict(json.loads(text)) == expr
+
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        example = readme.partition("Custom expression files")[2].partition("```json\n")[2].partition("```")[0]
+        expr = expression_from_json_dict(json.loads(example))
+        assert (expr.name, len(expr.segments)) == ("roughly_half", 2)
 
     def test_validation_applies_to_json_input(self):
         with pytest.raises(ExpressionError):
