@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
 from itertools import pairwise
 from typing import Optional, Union
@@ -348,11 +348,21 @@ def quantifier_for(expr) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 def expression_to_json_dict(expr: EvalExpr) -> dict:
-    """Serialize a piecewise expression to its JSON dictionary form: its fields, bounds as floats,
-    an unset ``declared_monotone`` left out."""
+    """Serialize a piecewise expression to its JSON dictionary form: its fields, each bound as
+    :func:`_written` gives it, an unset ``declared_monotone`` left out."""
     data = {name: value for name, value in asdict(expr).items() if value is not None}
-    data["segments"] = [{**s, "lo": float(s["lo"]), "hi": float(s["hi"])} for s in data["segments"]]
+    data["segments"] = [{k: _written(v, f"segment {i} {k}") if isinstance(v, Fraction) else v for k, v in s.items()}
+                        for i, s in enumerate(data["segments"])]
     return data
+
+
+def _written(bound: Fraction, what: str) -> float | str:
+    """A bound as the reader takes it back exactly: its float when that reads back as it, else ``"p/q"``."""
+    if as_exact(float(bound)) == bound:
+        return float(bound)
+    if len(str(bound)) > MAX_LITERAL_CHARS:
+        raise ExpressionError(f"{what} has no float or 'p/q' form of at most {MAX_LITERAL_CHARS} characters")
+    return str(bound)
 
 
 def _refuse_unknown_fields(raw: dict, cls, what: str) -> None:
@@ -371,13 +381,24 @@ def _coefficient(value, what: str) -> float:
         raise ExpressionError(f"{what} is too large for a float") from None
 
 
+def _boolean(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ExpressionError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+#: Each :class:`Segment` field's reader, keyed by its annotation's text; :class:`Segment` refuses an unknown ``form``.
+_FIELD_READERS = {"Fraction": as_exact, "float": _coefficient, "bool": _boolean, "str": lambda value, what: value}
+
+
 def expression_from_json_dict(data: dict) -> EvalExpr:
     """Build and validate a piecewise expression from its JSON dictionary form.
 
     The keys are :class:`EvalExpr`'s fields, and in each segment
-    :class:`Segment`'s; a coefficient or ``declared_monotone`` left out takes
-    its default.  Anything else (an unknown key, a flag that is not a JSON
-    boolean, a non-numeric coefficient) is refused.
+    :class:`Segment`'s, each read by the reader for its declared type; a
+    coefficient or ``declared_monotone`` left out takes its default.  In a
+    segment, an unknown key is refused first, then a missing field, then the
+    first bad field in :class:`Segment`'s field order.
     """
     if not isinstance(data, dict):
         raise ExpressionError("expression JSON must be an object")
@@ -393,24 +414,11 @@ def expression_from_json_dict(data: dict) -> EvalExpr:
         if not isinstance(raw, dict):
             raise ExpressionError(f"segment {i} must be an object")
         _refuse_unknown_fields(raw, Segment, f"segment {i}")
-        try:
-            for flag in ("lo_inclusive", "hi_inclusive"):
-                if not isinstance(raw[flag], bool):
-                    raise ExpressionError(
-                        f"segment {i} {flag} must be true or false, got {raw[flag]!r}"
-                    )
-            segments.append(
-                Segment(
-                    lo=as_exact(raw["lo"], f"segment {i} lo"),
-                    hi=as_exact(raw["hi"], f"segment {i} hi"),
-                    lo_inclusive=raw["lo_inclusive"],
-                    hi_inclusive=raw["hi_inclusive"],
-                    form=raw["form"],
-                    **{k: _coefficient(raw[k], f"segment {i} {k}") for k in ("a", "d", "c") if k in raw},
-                )
-            )
-        except KeyError as exc:
-            raise ExpressionError(f"segment {i} is missing field {exc.args[0]!r}") from None
+        missing = [f.name for f in fields(Segment) if f.name not in raw and f.default is MISSING]
+        if missing:
+            raise ExpressionError(f"segment {i} is missing field {missing[0]!r}")
+        segments.append(Segment(**{f.name: _FIELD_READERS[f.type](raw[f.name], f"segment {i} {f.name}")
+                                   for f in fields(Segment) if f.name in raw}))
     declared = data.get("declared_monotone")
     if declared is not None and not isinstance(declared, bool):
         raise ExpressionError("'declared_monotone' must be a boolean when present")

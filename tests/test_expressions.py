@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from threeway.expressions import MAX_LITERAL_CHARS, MONOTONE_SLACK, as_exact
+from threeway.expressions import _FIELD_READERS, MAX_LITERAL_CHARS, MONOTONE_SLACK, as_exact
 
 from threeway import (
     BUILTIN_NAMES,
@@ -258,15 +259,15 @@ class TestMonotonicity:
 
 
 @st.composite
-def const_tilings(draw) -> EvalExpr:
-    """1-64 constant segments on a 1/4000 breakpoint grid, one owner per breakpoint.
+def const_tilings(draw, grid: int = 4000) -> EvalExpr:
+    """1-64 constant segments on a 1/``grid`` breakpoint grid, one owner per breakpoint.
 
-    Every ``SCAN_STEPS`` grid lands on that grid.  Consecutive values differ
+    Every ``SCAN_STEPS`` grid lands on the default grid.  Consecutive values differ
     by 0.01, inside the breakpoint gap limit, so the segments may rise or fall.
     """
-    size = draw(st.integers(0, 63))
-    cuts = sorted(draw(st.lists(st.integers(1, 3999), min_size=size, max_size=size, unique=True)))
-    bounds = [Fraction(0), *(Fraction(k, 4000) for k in cuts), Fraction(1)]
+    size = draw(st.integers(0, min(63, grid - 1)))
+    cuts = sorted(draw(st.lists(st.integers(1, grid - 1), min_size=size, max_size=size, unique=True)))
+    bounds = [Fraction(0), *(Fraction(k, grid) for k in cuts), Fraction(1)]
     left_owns = draw(st.lists(st.booleans(), min_size=len(cuts), max_size=len(cuts)))
     hundredths = [draw(st.integers(0, 100))]
     for _ in cuts:
@@ -567,11 +568,48 @@ class TestJson:
         assert str(caught.value) == message
 
     @settings(max_examples=60)
-    @given(st.one_of(const_tilings(), st.sampled_from(BUILTIN_NAMES).map(builtin)), st.booleans())
+    @given(st.one_of(const_tilings(), const_tilings(3), const_tilings(7),
+                     st.sampled_from(BUILTIN_NAMES).map(builtin)), st.booleans())
     def test_json_round_trip_is_exact(self, expr, declare):
         expr = EvalExpr(expr.name, expr.segments, is_increasing(expr) if declare else None)
         text = json.dumps(expression_to_json_dict(expr))
         assert expression_from_json_dict(json.loads(text)) == expr
+
+    def test_bound_no_float_reads_back_is_written_as_a_fraction(self):
+        # 1/3 owned by the left segment (0.0); as a float it would read back a
+        # hair above 1/3, and x = 1/3 would fall in the right segment (0.01)
+        expr = EvalExpr("thirds", (seg(0, True, "1/3", True, "const", c=0.0),
+                                   seg("1/3", False, 1, True, "const", c=0.01)))
+        data = expression_to_json_dict(expr)
+        assert [(s["lo"], s["hi"]) for s in data["segments"]] == [(0.0, "1/3"), ("1/3", 1.0)]
+        clone = expression_from_json_dict(json.loads(json.dumps(data)))
+        assert clone == expr
+        assert clone.evaluate(Fraction(1, 3)) == 0.0
+
+    def test_bound_too_long_to_write_is_refused(self):
+        # a 98-digit decimal reads in 100 characters, but its "p/q" takes 198
+        cut = "0." + "1" * 98
+        expr = EvalExpr("long", (seg(0, True, cut, True, "const"), seg(cut, False, 1, True, "const")))
+        with pytest.raises(ExpressionError) as caught:
+            expression_to_json_dict(expr)
+        assert str(caught.value) == (
+            f"segment 0 hi has no float or 'p/q' form of at most {MAX_LITERAL_CHARS} characters")
+
+    def test_every_segment_field_type_has_a_reader(self):
+        assert {f.type for f in fields(Segment)} <= _FIELD_READERS.keys()
+
+    @pytest.mark.parametrize("fault, dropped, message", [
+        ({"lo": "x", "lo_inclusive": "true"}, None, "segment 1 lo must be a number, got 'x'"),
+        ({"hi_inclusive": 1, "c": "x"}, None, "segment 1 hi_inclusive must be true or false, got 1"),
+        ({"lo_inclusive": "true"}, "form", "segment 1 is missing field 'form'"),
+    ], ids=["bound_before_flag", "flag_before_coefficient", "missing_before_bad"])
+    def test_first_fault_in_field_order_is_named(self, fault, dropped, message):
+        data = expression_to_json_dict(builtin("not_small"))
+        data["segments"][1].update(fault)
+        data["segments"][1].pop(dropped, None)
+        with pytest.raises(ExpressionError) as caught:
+            expression_from_json_dict(data)
+        assert str(caught.value) == message
 
     def test_readme_example_loads(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
