@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -238,3 +239,20 @@ class TestReport:
         "".join(result.json_chunks())
         result.to_json_dict()
         assert "degrees" not in tp.__dict__  # the JSON form builds no element-degree mapping
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    quickstart = readme.partition("## Quickstart (API)")[2].partition("```python\n")[2].partition("```")[0]
+    run = {}
+    exec(quickstart, run)
+    tp, bounds, eq, sweep = run["tp"], run["bounds"], run["eq"], run["sweep"]
+    assert tp.ratios == tuple(map(Fraction, ("0", "1/5", "2/5", "3/5", "4/5", "1/7")))
+    assert tp.block_regions == ("neg", "bnd", "pos", "pos", "pos", "bnd")
+    assert bounds.as_tuple() == (0, Fraction(1, 7), Fraction(1, 5), Fraction(2, 5))
+    assert all(type(bound) is Fraction for bound in bounds.as_tuple())
+    assert str(eq.alpha_interval) == "(1/5 ≈ 0.2, 2/5 ≈ 0.4]"
+    assert eq.admits(Fraction("0.3"), Fraction("0.1")) and sweep.agrees_with(eq)
+    assert len(sweep.entries) == 66
+    assert capsys.readouterr().out == (
+        "The degree to which many members of C2 are in sport is 0.76, so u7 is abstained.\n")
