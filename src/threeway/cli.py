@@ -214,13 +214,13 @@ def regions(tp, expr, thresholds, concept, fmt) -> None:
 @analysis_command(FORMAT_OPTION)
 def bounds(tp, expr, thresholds, concept, fmt) -> None:
     """Print the extreme inclusion ratios attained inside each region."""
-    emit(xp.report(tp, expr, thresholds, concept, bounds=eq.bounds_of(tp)), fmt)
+    emit(xp.report(tp, expr, thresholds, concept, bounds=tp.bounds), fmt)
 
 
 @analysis_command(FORMAT_OPTION)
 def equivalence(tp, expr, thresholds, concept, fmt) -> None:
     """Bounds, the equivalent probabilistic threshold intervals, and the sweep check."""
-    emit(xp.report(tp, expr, thresholds, concept, bounds=eq.bounds_of(tp),
+    emit(xp.report(tp, expr, thresholds, concept, bounds=tp.bounds,
                    equivalence=eq.intervals_of(tp, expr), sweep=eq.sweep_of(tp)), fmt)
 
 

@@ -1,7 +1,7 @@
 """Region bounds and the threshold pairs under which both region routes agree.
 
 Given a linguistic tri-partition, the inclusion ratios attained inside each
-region give four bounds, which :func:`bounds_of` reports:
+region give four bounds, which :attr:`TriPartition.bounds` holds:
 
 * ``neg_max``  - highest ratio in the negative region,
 * ``bnd_min``  - lowest ratio in the boundary region,
@@ -70,7 +70,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .expressions import Numeric, display_name
-from .regions import Thresholds, TriPartition, linguistic_regions, region_of_degree
+from .regions import RegionBounds, Thresholds, TriPartition, linguistic_regions, region_of_degree
 from .render import bracket, render
 from .spaces import ApproximationSpace, Concept
 
@@ -93,22 +93,6 @@ class EmptinessCase(Enum):
     BND_EMPTY = "bnd_empty"
     NEG_EMPTY = "neg_empty"
     POS_EMPTY = "pos_empty"
-
-
-@dataclass(frozen=True)
-class RegionBounds:
-    """Extreme inclusion ratios attained per region; None for empty regions."""
-
-    neg_max: Optional[Fraction]
-    bnd_min: Optional[Fraction]
-    bnd_max: Optional[Fraction]
-    pos_min: Optional[Fraction]
-
-    def as_tuple(self) -> tuple:
-        return (self.neg_max, self.bnd_min, self.bnd_max, self.pos_min)
-
-    def all_present(self) -> bool:
-        return all(v is not None for v in self.as_tuple())
 
 
 @dataclass(frozen=True)
@@ -220,19 +204,11 @@ def _ends(below: tuple, above: tuple) -> tuple[Fraction, Fraction]:
             min((v for v in above if v is not None), default=Fraction(1)))
 
 
-def bounds_of(tp: TriPartition) -> RegionBounds:
-    """The four extreme ratios of a tri-partition's regions, from its block table."""
-    neg, bnd, pos = ([r for r, region in zip(tp.ratios, tp.block_regions) if region == name]
-                     for name in ("neg", "bnd", "pos"))
-    return RegionBounds(max(neg, default=None), min(bnd, default=None),
-                        max(bnd, default=None), min(pos, default=None))
-
-
 def region_bounds(
     space: ApproximationSpace, concept: Concept, expr, thresholds: Thresholds
 ) -> RegionBounds:
     """The four extreme ratios of the linguistic tri-partition's regions."""
-    return bounds_of(linguistic_regions(space, concept, expr, thresholds))
+    return linguistic_regions(space, concept, expr, thresholds).bounds
 
 
 def check_bounds_ordering(bounds: RegionBounds, expr_increasing: bool) -> bool:
@@ -260,7 +236,7 @@ def equivalent_threshold_intervals(
 def intervals_of(tp: TriPartition, expr) -> ThresholdEquivalence:
     """The equivalent probabilistic threshold pairs of a tri-partition built through ``expr``.
 
-    Both are read off :func:`bounds_of`: beta' in [neg_max, min(bnd_min,
+    Both are read off ``tp.bounds``: beta' in [neg_max, min(bnd_min,
     pos_min)) and alpha' in (max(neg_max, bnd_max), pos_min], an absent bound
     reading as 0 below a cut and 1 above it.  Raises
     :class:`DegenerateRegionsError` when two or more regions are empty, and
@@ -275,7 +251,7 @@ def intervals_of(tp: TriPartition, expr) -> ThresholdEquivalence:
             f"only the {present!r} region is non-empty (it covers the whole universe); "
             "the threshold characterization needs at least two non-empty regions"
         )
-    bounds = bounds_of(tp)
+    bounds = tp.bounds
     beta = _ends((bounds.neg_max,), (bounds.bnd_min, bounds.pos_min))
     alpha = _ends((bounds.neg_max, bounds.bnd_max), (bounds.pos_min,))
     for upper, (lo, hi) in ((("bnd", "pos"), beta), (("pos",), alpha)):

@@ -4,14 +4,15 @@ Each block's inclusion ratio goes through an expression to give its degree,
 and the degree decides the block's region against (alpha, beta), beta < alpha:
 ``pos`` at or above alpha, ``neg`` at or below beta, ``bnd`` strictly between.
 :func:`linguistic_regions` builds that block table once; it is all a
-:class:`TriPartition` holds.  Bounds, intervals and reports read it, and the
-element sets and degrees are views derived from it on first use.  The
-probabilistic regions are the linguistic ones under the identity expression,
-the crisp delta regions those under a step expression.  A space holds the
-block tables built on it, keyed by concept members, expression object and
-thresholds; :func:`linguistic_regions` replaces that store whole, taking no
-lock, and wraps a kept table in a fresh tri-partition.  So an expression must
-be a pure function of its input, and must not change after its first use.
+:class:`TriPartition` holds, with the bounds computed from it once.  Bounds,
+intervals and reports read it, and the element sets and degrees are views
+derived from it on each read.  The probabilistic regions are the linguistic
+ones under the identity expression, the crisp delta regions those under a
+step expression.  A space keeps the tri-partitions built on it, keyed by
+concept members, expression object and thresholds, with one ratio count per
+member set; :func:`linguistic_regions` replaces that store whole, taking no
+lock.  So an expression must be a pure function of its input, and must not
+change after its first use.
 
 Comparisons carry no epsilon.  Degrees are exact fractions on the
 probabilistic path and plain floats on the linguistic one; Python compares
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .expressions import IdentityExpr, Numeric, StepExpr, as_exact
 from .render import bracket, quote, render
@@ -54,6 +55,22 @@ class Thresholds:
             )
 
 
+@dataclass(frozen=True)
+class RegionBounds:
+    """Extreme inclusion ratios attained per region; None for empty regions."""
+
+    neg_max: Optional[Fraction]
+    bnd_min: Optional[Fraction]
+    bnd_max: Optional[Fraction]
+    pos_min: Optional[Fraction]
+
+    def as_tuple(self) -> tuple:
+        return (self.neg_max, self.bnd_min, self.bnd_max, self.pos_min)
+
+    def all_present(self) -> bool:
+        return all(v is not None for v in self.as_tuple())
+
+
 @dataclass(frozen=True, eq=False)
 class TriPartition:
     """Three disjoint regions covering the universe, as the block table they come from.
@@ -62,8 +79,9 @@ class TriPartition:
     inclusion ratio, the degree compared against the thresholds, and the
     region it landed in, indexed like ``space.blocks``.  The element views
     ``pos``, ``neg``, ``bnd`` and ``degrees`` are derived from the table on
-    first use.  Equality compares the regions and the element degrees; the
-    space takes no part in it or in the JSON form.
+    each read and never kept; ``bounds`` is computed on first read and kept.
+    Equality compares the regions and the element degrees; the space takes no
+    part in it or in the JSON form.
     """
 
     space: ApproximationSpace = field(repr=False)
@@ -80,15 +98,23 @@ class TriPartition:
         table = zip(self.space.blocks, self.block_regions)
         return frozenset().union(*(block for block, name in table if name == region))
 
-    pos = cached_property(lambda self: self._members("pos"))
-    neg = cached_property(lambda self: self._members("neg"))
-    bnd = cached_property(lambda self: self._members("bnd"))
+    pos = property(lambda self: self._members("pos"))
+    neg = property(lambda self: self._members("neg"))
+    bnd = property(lambda self: self._members("bnd"))
 
-    @cached_property
+    @property
     def degrees(self) -> Mapping[str, Numeric]:
         """Every element's degree (block-constant by construction)."""
         table = zip(self.space.blocks, self.block_degrees)
         return {element: degree for block, degree in table for element in block}
+
+    @cached_property
+    def bounds(self) -> RegionBounds:
+        """The four extreme ratios of the regions, each None when its region is empty."""
+        neg, bnd, pos = ([r for r, region in zip(self.ratios, self.block_regions) if region == name]
+                         for name in ("neg", "bnd", "pos"))
+        return RegionBounds(max(neg, default=None), min(bnd, default=None),
+                            max(bnd, default=None), min(pos, default=None))
 
     @property
     def empty_regions(self) -> tuple[str, ...]:
@@ -167,12 +193,14 @@ def linguistic_regions(
 
     ``expr`` is anything with an ``evaluate(x) -> degree`` method (a built-in
     or custom piecewise expression, a step expression, or the identity).  The
-    space keeps the block table per (concept members, expression identity,
+    space keeps the tri-partition per (concept members, expression identity,
     thresholds), with ``expr`` itself so that identity is not reused while it
-    is kept, and answers a repeated call without evaluating ``expr`` again: so
-    ``expr`` must be a pure function of ``x`` and must not change after its
-    first use.  Equal member sets share one key object.  A new table replaces
-    the store whole, so a reader sees one whole dict and takes no lock; of two
+    is kept, and returns it on a repeated call without evaluating ``expr``
+    again: so ``expr`` must be a pure function of ``x`` and must not change
+    after its first use.  Equal member sets share one key object, and a new
+    table on a member set already kept takes its ratios from a kept table, so
+    the elements are counted once per member set.  A new table replaces the
+    store whole, so a reader sees one whole dict and takes no lock; of two
     racing inserts one can be lost, and is built again on a later call.
     """
     members, tables = concept.members, space._tables
@@ -183,14 +211,16 @@ def linguistic_regions(
     key = (kept_members, id(expr), thresholds)
     kept = tables.get(key)
     if kept is None:
-        ratios = tuple(space.block_ratios(concept).values())
+        ratios = next((tp.ratios for (held, _, _), (_, tp) in tables.items() if held is kept_members), None)
+        if ratios is None:
+            ratios = tuple(space.block_ratios(concept).values())
         degrees = tuple(expr.evaluate(ratio) for ratio in ratios)
-        kept = expr, (ratios, degrees, tuple(region_of_degree(d, thresholds) for d in degrees))
+        kept = expr, TriPartition(space, ratios, degrees, tuple(region_of_degree(d, thresholds) for d in degrees))
         tables = {**tables, key: kept}
         if len(tables) > _KEPT_TABLES:
             del tables[next(iter(tables))]
         space._tables = tables
-    return TriPartition(space, *kept[1])
+    return kept[1]
 
 
 @dataclass(frozen=True)
@@ -207,7 +237,8 @@ class RoughSetPair:
 
 def rough_set_from_tripartition(tp: TriPartition) -> RoughSetPair:
     """Lower = accepted elements; upper = accepted plus undecided."""
-    return RoughSetPair(tp.pos, tp.pos | tp.bnd)
+    pos = tp.pos
+    return RoughSetPair(pos, pos | tp.bnd)
 
 
 def pawlak_rough_set(space: ApproximationSpace, concept: Concept) -> RoughSetPair:

@@ -21,6 +21,7 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -106,7 +107,7 @@ class ApproximationSpace:
             shared = sorted(label for label, count in Counter(self.labels).items() if count > 1)
             raise DataError(f"duplicate block label(s): {', '.join(map(repr, shared))}")
         self._block_of: dict[str, int] = seen
-        self._tables: dict[tuple, tuple] = {}  # kept block tables, which regions.linguistic_regions fills
+        self._tables: dict[tuple, tuple] = {}  # kept tri-partitions, which regions.linguistic_regions fills
         self._members: tuple = (None, None)  # the last member set asked for, and its kept equal
 
     # -- queries ------------------------------------------------------------
@@ -211,16 +212,14 @@ _FALSE_WORDS = {"0", "false", "no", "n", ""}
 def concept_from_column(rows: Sequence[Row], column: str, id_column: Optional[str] = None) -> Concept:
     """Read a concept from a boolean column of the table."""
     elements, values = _read_columns(rows, id_column, [column])
-    true_values = set()
-    for value in dict.fromkeys(values):  # each distinct value once, in row order
-        word = value.strip().lower()
-        if word in _TRUE_WORDS:
-            true_values.add(value)
-        elif word not in _FALSE_WORDS:
-            first = elements[values.index(value)]
-            raise DataError(f"column {column!r} is not boolean: {value!r} for {first!r}")
-    members = {e for e, value in zip(elements, values) if value in true_values}
-    return Concept(frozenset(members), label=column)
+    words = {value: value.strip().lower() for value in set(values)}
+    unknown = {value for value, word in words.items() if word not in _TRUE_WORDS and word not in _FALSE_WORDS}
+    if unknown:
+        row = next(i for i, value in enumerate(values) if value in unknown)  # the first in row order
+        raise DataError(f"column {column!r} is not boolean: {values[row]!r} for {elements[row]!r}")
+    true_values = {value for value, word in words.items() if word in _TRUE_WORDS}
+    members = set(compress(elements, map(true_values.__contains__, values)))
+    return Concept(frozenset(members), label=column)  # copied from a set, its hash table is sized to fit
 
 
 def load_table(path: str) -> list[dict[str, str]]:

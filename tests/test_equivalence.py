@@ -43,7 +43,7 @@ from threeway import (
     verify_equivalence,
 )
 
-from threeway.equivalence import bounds_of, first_difference, format_endpoint, intervals_of, sweep_of
+from threeway.equivalence import first_difference, format_endpoint, intervals_of, sweep_of
 from threeway.expressions import display_name
 from threeway.regions import REGION_NAMES
 
@@ -794,7 +794,7 @@ class TestReplication:
         except (NonMonotoneExpressionError, DegenerateRegionsError) as exc:
             intervals = (type(exc), str(exc))
         sweep = sweep_of(tp)
-        return (len(counted.args), bounds_of(tp), intervals, sweep.alpha_ok, sweep.beta_ok,
+        return (len(counted.args), tp.bounds, intervals, sweep.alpha_ok, sweep.beta_ok,
                 "".join(sweep.json_chunks()))
 
     @given(spaces_with_concepts(), SWEEP_EXPRESSIONS, threshold_pairs(), st.sampled_from([2, 3]))

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 import threading
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,13 +31,14 @@ from threeway import (
     linguistic_regions,
     pawlak_rough_set,
     probabilistic_regions,
+    region_bounds,
     report,
     rough_set_from_tripartition,
     verify_equivalence,
 )
 
 from threeway.cli import parse_expression
-from threeway.equivalence import bounds_of, intervals_of
+from threeway.equivalence import intervals_of, sweep_of
 from threeway.regions import _KEPT_TABLES
 
 from conftest import (
@@ -231,15 +234,29 @@ class TestBlockTable:
         with pytest.raises(TypeError):
             TriPartition(tp.pos, tp.neg, tp.bnd, tp.degrees, space)
 
-    def test_block_level_consumers_leave_the_views_uncomputed(self, community):
+    def test_block_level_consumers_leave_the_views_uncomputed(self, community, monkeypatch):
         space, sport = community
-        expr = builtin("not_small")
-        tp = linguistic_regions(space, sport, expr, Thresholds(Fraction("0.8"), Fraction("0.2")))
-        bounds_of(tp)
-        intervals_of(tp, expr)
+        expr, thresholds = builtin("not_small"), Thresholds(Fraction("0.8"), Fraction("0.2"))
+        tp = linguistic_regions(space, sport, expr, thresholds)
+
+        def refuse(*_):
+            raise ViewBuilt
+
+        # every element view goes through these two, so patched they refuse any build
+        monkeypatch.setattr(TriPartition, "_members", refuse)
+        monkeypatch.setattr(TriPartition, "degrees", property(refuse))
+        equivalence, sweep = intervals_of(tp, expr), sweep_of(tp)
+        verify_equivalence(space, sport, expr, thresholds, Fraction("0.5"), Fraction("0.3"))
         explain_element(tp, expr, "u26", "sport")
+        assert report(tp, expr, thresholds, sport, tp.bounds, equivalence, sweep).to_text()
+        assert tp.json_text("  ")
         for view in ("pos", "neg", "bnd", "degrees"):
-            assert view not in tp.__dict__
+            with pytest.raises(ViewBuilt):
+                getattr(tp, view)
+
+
+class ViewBuilt(Exception):
+    """Raised by a patched tri-partition when an element view is built."""
 
 
 class Halve:
@@ -268,6 +285,8 @@ def answer(space, members, expr, thresholds, kind, probe):
         if kind == "regions":
             tp = linguistic_regions(space, concept, expr, thresholds)
             return tp.ratios, tp.block_degrees, tp.block_regions
+        if kind == "bounds":
+            return region_bounds(space, concept, expr, thresholds)
         if kind == "verify":
             return verify_equivalence(space, concept, expr, thresholds, probe.alpha, probe.beta)
         return equivalent_threshold_intervals(space, concept, expr, thresholds)
@@ -286,20 +305,68 @@ class TestKeptTables:
     TH = Thresholds(Fraction("0.8"), Fraction("0.2"))
 
     def test_each_call_gets_its_own_tripartition_over_the_same_table(self, community):
+        # a repeated call, through the same or an equal concept, returns the kept tri-partition itself
         space, sport = community
         expr = builtin("not_small")
-        tp1 = linguistic_regions(space, sport, expr, self.TH)
-        tp2 = linguistic_regions(space, sport, expr, self.TH)
-        assert tp1 is not tp2
-        assert tp1.ratios is tp2.ratios
-        assert tp1.block_degrees is tp2.block_degrees
-        assert tp1.block_regions is tp2.block_regions
+        tp = linguistic_regions(space, sport, expr, self.TH)
+        assert linguistic_regions(space, sport, expr, self.TH) is tp
+        assert linguistic_regions(space, Concept(frozenset(sport.members)), expr, self.TH) is tp
+        [(_, kept)] = space._tables.values()
+        assert kept is tp
 
-    def test_a_view_read_on_one_builds_nothing_on_the_other(self, community):
+    def test_a_member_set_is_counted_once(self, community, monkeypatch):
         space, sport = community
-        tp1, tp2 = (linguistic_regions(space, sport, builtin("not_small"), self.TH) for _ in range(2))
+        counted, block_ratios = [], ApproximationSpace.block_ratios
+        monkeypatch.setattr(ApproximationSpace, "block_ratios",
+                            lambda self, concept: counted.append(concept.members) or block_ratios(self, concept))
+        pairs = (self.TH, Thresholds(Fraction("0.6"), Fraction("0.1")), Thresholds(1, 0))
+        tables = [linguistic_regions(space, sport, expr, th)
+                  for expr in (builtin("not_small"), builtin("very_big"), IdentityExpr()) for th in pairs]
+        assert counted == [sport.members]
+        assert all(tp.ratios is tables[0].ratios for tp in tables)
+        # an equal member set built afresh shares them too; a different one is counted once
+        linguistic_regions(space, Concept(frozenset(sport.members)), builtin("extremely_big"), self.TH)
+        assert counted == [sport.members]
+        others = Concept(frozenset(space.elements) - sport.members, label="others")
+        for expr, th in zip((builtin("not_small"), builtin("very_big")), pairs):
+            linguistic_regions(space, others, expr, th)
+        assert counted == [sport.members, others.members]
+
+    def test_bounds_are_computed_once_per_kept_table(self, community):
+        space, sport = community
+        expr = builtin("not_small")
+        tp = linguistic_regions(space, sport, expr, self.TH)
+        assert tp.bounds is linguistic_regions(space, sport, expr, self.TH).bounds
+        assert region_bounds(space, sport, expr, self.TH) is tp.bounds
+        assert tp.bounds == fresh_answer(space, sport.members, expr, self.TH, "bounds", None)
+
+    def test_the_sweep_reads_no_bound(self, community):
+        space, sport = community
+        tp = linguistic_regions(space, sport, builtin("not_small"), self.TH)
+        sweep_of(tp)
+        assert "bounds" not in vars(tp)
+
+    def test_a_view_read_on_one_builds_nothing_on_the_other(self, community, monkeypatch):
+        # two kept tables on one member set share their ratios, and nothing else
+        space, sport = community
+        tp1, tp2 = (linguistic_regions(space, sport, builtin(name), self.TH) for name in ("not_small", "very_big"))
+        assert tp1 is not tp2 and tp1.ratios is tp2.ratios
+        built, members, degrees = [], TriPartition._members, TriPartition.degrees
+        monkeypatch.setattr(TriPartition, "_members", lambda tp, region: built.append(id(tp)) or members(tp, region))
+        monkeypatch.setattr(TriPartition, "degrees", property(lambda tp: built.append(id(tp)) or degrees.fget(tp)))
         assert tp1.pos and tp1.degrees
-        assert not {"pos", "neg", "bnd", "degrees"} & tp2.__dict__.keys()
+        assert built == [id(tp1)] * 2
+        assert not any(isinstance(value, (frozenset, set, dict)) for tp in (tp1, tp2) for value in vars(tp).values())
+
+    def test_a_dropped_space_is_collected(self):
+        # a kept tri-partition and its space refer to each other; the cycle is
+        # still freed, and the tri-partition lives exactly as long as the space's store
+        space, sport = community_instance()
+        kept = weakref.ref(linguistic_regions(space, sport, builtin("not_small"), self.TH))
+        assert kept() is not None
+        del space
+        gc.collect()
+        assert kept() is None
 
     def test_a_concept_switch_follows_the_new_members(self, community):
         space, sport = community
@@ -364,11 +431,14 @@ class TestKeptTables:
         space, sport = community
         expr = builtin("not_small")
         report(linguistic_regions(space, sport, expr, self.TH), expr, self.TH, sport).to_json_dict()
-        [(kept_expr, table)] = space._tables.values()
+        [(kept_expr, tp)] = space._tables.values()
         assert kept_expr is expr
+        assert tp.degrees and rough_set_from_tripartition(tp)  # every element view read
+        table = (tp.ratios, tp.block_degrees, tp.block_regions)
         assert [len(column) for column in table] == [len(space.blocks)] * 3
         assert not any(isinstance(value, (TriPartition, frozenset, set, dict))
                        for column in table for value in column)
+        assert not any(isinstance(value, (frozenset, set, dict)) for value in vars(tp).values())
 
     @settings(max_examples=25)
     @given(spaces_with_concepts(), st.data())
@@ -380,7 +450,7 @@ class TestKeptTables:
         pairs = data.draw(st.lists(threshold_pairs(), min_size=1, max_size=12))
         queries = data.draw(st.lists(st.tuples(
             st.sampled_from(member_sets), st.sampled_from(KEPT_EXPRESSIONS), st.sampled_from(pairs),
-            st.sampled_from(("regions", "verify", "intervals")), st.sampled_from(pairs),
+            st.sampled_from(("regions", "bounds", "verify", "intervals")), st.sampled_from(pairs),
         ), min_size=_KEPT_TABLES + 1, max_size=2 * _KEPT_TABLES))
         for query in queries:
             assert answer(space, *query) == fresh_answer(space, *query)
@@ -392,7 +462,7 @@ class TestKeptTables:
         members = [sorted(sport.members), sorted(set(space.elements) - sport.members)]
         pairs = [Thresholds(Fraction(1), Fraction(i, 100)) for i in range(40)]
         queries = [(rng.choice(members), rng.choice(KEPT_EXPRESSIONS), rng.choice(pairs),
-                    rng.choice(("regions", "verify", "intervals")), rng.choice(pairs))
+                    rng.choice(("regions", "bounds", "verify", "intervals")), rng.choice(pairs))
                    for _ in range(400)]
         expected = [fresh_answer(space, *query) for query in queries]
         errors, start = [], threading.Barrier(4)

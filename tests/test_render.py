@@ -21,7 +21,6 @@ from threeway.cli import emit
 from threeway.equivalence import (
     DegenerateRegionsError,
     NonMonotoneExpressionError,
-    bounds_of,
     format_endpoint,
     intervals_of,
     sweep_of,
@@ -98,13 +97,13 @@ def evaluated_tables(draw):
 def reports(tp: TriPartition, expr, label: str) -> list[AnalysisReport]:
     """The report of ``tp`` bare, with its bounds, and with its characterization when one exists."""
     thresholds = Thresholds(Fraction(4, 5), Fraction(1, 5))
-    found = [AnalysisReport(tp, expr, thresholds, label), AnalysisReport(tp, expr, thresholds, label, bounds_of(tp))]
+    found = [AnalysisReport(tp, expr, thresholds, label), AnalysisReport(tp, expr, thresholds, label, tp.bounds)]
     try:
         equivalence = intervals_of(tp, expr)
     except (DegenerateRegionsError, NonMonotoneExpressionError):
         return found
     agrees = sweep_of(tp).agrees_with(equivalence)
-    return found + [AnalysisReport(tp, expr, thresholds, label, bounds_of(tp), equivalence, agrees)]
+    return found + [AnalysisReport(tp, expr, thresholds, label, tp.bounds, equivalence, agrees)]
 
 
 def check_report(result: AnalysisReport) -> None:
