@@ -10,7 +10,8 @@ decimals in prose and at full precision in the JSON form.
 
 A report is the tri-partition it describes plus what was derived from it
 (bounds, intervals, the sweep's verdict), rendered from the block table; only
-``to_json_dict`` builds element sets.
+``to_json_dict`` lists the regions element by element, in one pass over the
+sorted universe.
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 An expression maps a relative size (a value in [0, 1]) to the degree, also in
 [0, 1], to which that size fits a natural-language judgment such as "not
-small", "very big", or "extremely big".  The three built-ins are piecewise
-quadratic; custom expressions are restricted to the same three segment forms
-(constant, upward quadratic, downward quadratic), which is enough to express
-every hedge shape this library supports without a symbolic hedge calculus.
+small", "very big", or "extremely big".  Construction checks that range
+exactly: a segment whose value at an end leaves [0, 1] by any amount is
+refused.  The three built-ins are piecewise quadratic; custom expressions are
+restricted to the same three segment forms (constant, upward quadratic,
+downward quadratic), which is enough to express every hedge shape this
+library supports without a symbolic hedge calculus.
 A breakpoint belongs to the segment whose end includes it; construction
 checks that exactly one end does, so one lookup on the upper ends finds it.
 
@@ -16,12 +18,12 @@ A note on monotonicity: the built-ins' published coefficients are rounded, so
 adjacent pieces meet only approximately.  Two interior breakpoints hide
 downward jumps (depth ~2.6e-4 at 0.16 for "not small", ~1.0e-3 at 0.895 for
 "very big"; the affected input windows are a few 1e-5 to ~1.3e-4 wide).
-``is_increasing`` therefore samples a grid; at the coarsest permitted step
-(1e-3) each dip is smaller than a single-step rise and all built-ins classify
-as increasing.  Two distinct block ratios can only straddle one of those dip
-windows when a block has more than ~88 elements; the interval
-characterization then refuses on the attained ratios, which it checks
-exactly, and never consults the scan.
+``is_increasing`` therefore samples a grid and compares the samples exactly,
+with no slack; at the coarsest permitted step (1e-3) each dip is smaller than
+a single-step rise and all built-ins classify as increasing.  Two distinct
+block ratios can only straddle one of those dip windows when a block has more
+than ~88 elements; the interval characterization then refuses on the attained
+ratios, which it checks exactly, and never consults the scan.
 """
 
 from __future__ import annotations
@@ -43,11 +45,6 @@ BREAKPOINT_GAP_TOLERANCE = 0.02
 #: Coarsest (and default) sampling step for the monotonicity scan.
 DEFAULT_GRID_STEP = Fraction(1, 1000)
 
-#: A grid sample may fall below its predecessor by at most this much and
-#: still count as non-decreasing.
-MONOTONE_SLACK = 1e-9
-
-_RANGE_SLOP = 1e-9
 _ONE = Fraction(1)
 
 #: Size bounds on the literals :func:`as_exact` reads (``1e1000000`` alone takes
@@ -155,9 +152,9 @@ class Segment:
                 v = self.value(x)
             except OverflowError:  # the square of a huge coefficient
                 v = math.inf if self.form == "quad_up" else -math.inf
-            if not -_RANGE_SLOP <= v <= 1 + _RANGE_SLOP:
+            if not 0 <= v <= 1:
                 raise ExpressionError(
-                    f"segment [{self.lo}, {self.hi}] leaves [0, 1]: value {v:.6g} at x={x:.6g}"
+                    f"segment [{self.lo}, {self.hi}] leaves [0, 1]: value {v!r} at x={x:.6g}"
                 )
 
 
@@ -272,9 +269,8 @@ def is_increasing(expr, grid_step: Numeric = DEFAULT_GRID_STEP) -> bool:
     """Decide non-decreasingness by scanning an evenly spaced grid.
 
     The grid is min(k*h, 1) for k = 0, 1, ..., ceil(1/h), where h is the exact
-    decimal reading of ``grid_step`` (0 < h <= 1/1000).  A sample may fall
-    below its predecessor by at most ``MONOTONE_SLACK``; the scan stops at
-    the first that falls further.
+    decimal reading of ``grid_step`` (0 < h <= 1/1000).  The scan stops at
+    the first sample below its predecessor, by however little.
 
     Every call scans afresh (1,001 evaluations at the default step).  It backs
     ``declared_monotone``; the interval characterization does not call it.
@@ -283,7 +279,7 @@ def is_increasing(expr, grid_step: Numeric = DEFAULT_GRID_STEP) -> bool:
     if not 0 < step <= Fraction(1, 1000):
         raise ValueError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
     grid = (min(k * step, _ONE) for k in range(math.ceil(1 / step) + 1))
-    return all(not v < prev - MONOTONE_SLACK for prev, v in pairwise(map(expr.evaluate, grid)))
+    return all(not v < prev for prev, v in pairwise(map(expr.evaluate, grid)))
 
 
 def _nu(name: str, a: str, b: str, c: str, d_rise: float, d_fall: float,

@@ -129,15 +129,14 @@ class TriPartition:
         return self.pos == other.pos and self.neg == other.neg and self.bnd == other.bnd
 
     def to_json_dict(self) -> dict:
-        """Stable JSON form: ids sorted, degrees as floats."""
+        """Stable JSON form, from one pass over the sorted universe: ids sorted, degrees as floats."""
         degrees, block_of = [float(d) for d in self.block_degrees], self.space._block_of
-        return {
-            "pos": sorted(self.pos),
-            "neg": sorted(self.neg),
-            "bnd": sorted(self.bnd),
-            "degrees": {e: degrees[block_of[e]] for e in sorted(block_of)},
-            "empty_regions": list(self.empty_regions),
-        }
+        data: dict = {**{name: [] for name in REGION_NAMES}, "degrees": {}}
+        for element in sorted(block_of):
+            index = block_of[element]
+            data[self.block_regions[index]].append(element)
+            data["degrees"][element] = degrees[index]
+        return {**data, "empty_regions": list(self.empty_regions)}
 
     def json_text(self, indent: str) -> str:
         """``render(self.to_json_dict(), indent)``, from one pass over the sorted universe."""

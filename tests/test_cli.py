@@ -143,13 +143,18 @@ class TestRegionsCommand:
         assert "no abstentions" in result.output
 
     def test_threshold_tie_warns(self, runner):
-        probe = ["--prob-alpha", "0.4", "--prob-beta", "0.1"]
-        for command, extra in [("regions", []), ("bounds", []), ("equivalence", []),
-                               ("verify", probe), ("sweep", [])]:
-            result = invoke(runner, command, *BASE, "--expr", "identity",
-                            "--alpha", "0.4", "--beta", "0.1", *extra)
-            assert result.exit_code == 0, command
-            assert "warning: alpha=2/5 exactly equals an attained degree" in result.stderr, command
+        # the block ratios are 0, 1/7, 1/5, 2/5, 3/5 and 4/5, so each pair ties on one threshold;
+        # under identity the probe is the pair itself, so verify agrees
+        for alpha, beta, tied, untied in [("0.4", "0.1", "alpha=2/5", "beta="),
+                                          ("0.9", "0.2", "beta=1/5", "alpha=")]:
+            probe = ["--prob-alpha", alpha, "--prob-beta", beta]
+            for command, extra in [("regions", []), ("bounds", []), ("equivalence", []),
+                                   ("verify", probe), ("sweep", [])]:
+                result = invoke(runner, command, *BASE, "--expr", "identity",
+                                "--alpha", alpha, "--beta", beta, *extra)
+                assert result.exit_code == 0, command
+                assert f"warning: {tied} exactly equals an attained degree" in result.stderr, command
+                assert untied not in result.stderr, command
 
     def test_tie_warning_precedes_a_bad_probe(self, runner):
         result = invoke(runner, "verify", *BASE, "--expr", "identity",
@@ -379,6 +384,19 @@ class TestEquivalenceCommand:
         assert result.exit_code == 2
         assert message in result.stderr
         assert "Traceback" not in result.output
+
+    def test_expression_file_with_a_degree_just_above_1_exits_2(self, runner, tmp_path):
+        path = tmp_path / "above_one.json"
+        path.write_text(json.dumps({"name": "above_one", "segments": [
+            {"lo": 0, "lo_inclusive": True, "hi": 1, "hi_inclusive": True,
+             "form": "quad_up", "a": 0.0, "d": 0.9999999995}]}), encoding="utf-8")
+        result = runner.invoke(main, ["regions", "--input", str(SAMPLE_CSV), "--key", "community",
+                                      "--concept", "ids:u1,u2,u3,u4,u5", "--expr", f"file:{path}",
+                                      "--alpha", "0.8", "--beta", "0.2", "--format", "json"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (f"error: bad expression file {path}: "
+                                 "segment [0, 1] leaves [0, 1]: value 1.0000000005 at x=1\n")
 
     def test_missing_expression_file(self, runner):
         result = invoke(runner, "equivalence", *BASE, "--expr", "file:/no/such.json",

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from threeway.expressions import _FIELD_READERS, MAX_LITERAL_CHARS, MONOTONE_SLACK, as_exact
+from threeway.expressions import _FIELD_READERS, MAX_LITERAL_CHARS, as_exact
 
 from threeway import (
     BUILTIN_NAMES,
@@ -210,6 +210,15 @@ class TestMonotonicity:
     def test_medium_hump_is_not_increasing(self):
         assert not is_increasing(MEDIUM_HUMP)
 
+    def test_smallest_drop_is_not_increasing(self):
+        # the samples are compared exactly: a drop of 5e-10 at 1/2 is a drop
+        stair = (seg(0, True, 0.5, False, "const", c=0.5000000005),
+                 seg(0.5, True, 1, True, "const", c=0.5))
+        assert not is_increasing(EvalExpr("stair", stair))
+        with pytest.raises(ExpressionError, match="declared increasing but the grid scan"):
+            EvalExpr("stair", stair, declared_monotone=True)
+        assert EvalExpr("stair", stair, declared_monotone=False).declared_monotone is False
+
     def test_grid_step_bounds(self):
         with pytest.raises(ValueError):
             is_increasing(builtin("not_small"), Fraction(1, 100))
@@ -286,7 +295,7 @@ def stepped_is_increasing(expr, step: Fraction) -> bool:
     x = Fraction(0)
     while True:
         v = expr.evaluate(x)
-        if prev is not None and v < prev - MONOTONE_SLACK:
+        if prev is not None and v < prev:
             return False
         prev = v
         if x == 1:
@@ -461,6 +470,14 @@ class TestValidation:
     def test_out_of_range_segment_rejected(self):
         with pytest.raises(ExpressionError, match="leaves"):
             seg(0, True, 1, True, "quad_up", a=0.0, d=0.5)
+
+    @pytest.mark.parametrize("form, a, value, x", [("quad_up", 0.0, "1.0000000005", 1),
+                                                  ("quad_down", 1.0, "-5.000000413701855e-10", 0)])
+    def test_endpoint_just_outside_unit_interval_rejected(self, form, a, value, x):
+        # [0, 1] is checked exactly, and the message shows the value that left it in full
+        with pytest.raises(ExpressionError,
+                           match=rf"^segment \[0, 1\] leaves \[0, 1\]: value {value} at x={x}$"):
+            seg(0, True, 1, True, form, a=a, d=0.9999999995)
 
     @pytest.mark.parametrize("form, vertex_value", [("quad_up", 0.0), ("quad_down", 1.0)])
     def test_interior_vertex_accepted(self, form, vertex_value):

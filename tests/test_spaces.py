@@ -343,6 +343,16 @@ class TestCsv:
         ]
         assert concept_from_column(rows, "flag").members == {"a", "c"}
 
+    def test_empty_boolean_cell_is_not_a_member(self, tmp_path):
+        path = tmp_path / "blank_cell.csv"
+        path.write_text("id,g,x\na,G,1\nb,G,\nc,H,0\n", encoding="utf-8")
+        rows = load_table(str(path))
+        space = from_attribute_table(rows, ["g"])
+        concept = concept_from_column(rows, "x")
+        assert concept.members == {"a"}
+        assert space.labels == ("G", "H")
+        assert space.block_ratios(concept) == {0: Fraction(1, 2), 1: Fraction(0)}
+
     def test_non_boolean_value(self):
         rows = [{"id": "a", "flag": "maybe"}]
         with pytest.raises(DataError, match="not boolean"):
