@@ -53,20 +53,25 @@ every equivalence cell of threshold space.  :func:`sweep_of` decides every
 pair of these c <= 2k + 1 candidates (k distinct ratios) on the same block
 table, never on element sets: each attained ratio's wanted region is its
 block's region.  The result is two verdict vectors, one over alpha' and one
-over beta'; the pair table (one verdict per beta' < alpha') is a view derived
-on first read, and the text and JSON forms are rendered from the vectors and
-yielded an alpha' row at a time, in pair order.  The sweep reads no bound and
-no interval and assumes no monotonicity; wherever the intervals are given,
-its table must match them on every pair.  :func:`sweep_equivalence_oracle`
-builds the tri-partition and delegates.
+over beta'; the pair table (one verdict per beta' < alpha') is a read-only
+view of them that builds an entry only when it is read, and the text and JSON
+forms are rendered from the vectors and yielded an alpha' row at a time, in
+pair order.  The candidates are deduplicated and ordered on exact integer
+keys over one common denominator, so no Fraction is hashed, added or
+divided.  The sweep reads no bound and no interval and assumes no
+monotonicity; wherever the intervals are given, its table must match them
+on every pair.  :func:`sweep_equivalence_oracle` builds the tri-partition
+and delegates.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .expressions import Numeric, display_name
@@ -298,7 +303,11 @@ class SweepEntry:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """The verdict at (candidates[a], candidates[b]), b < a, is ``alpha_ok[a] and beta_ok[b]``."""
+    """The verdict at (candidates[a], candidates[b]), b < a, is ``alpha_ok[a] and beta_ok[b]``.
+
+    ``candidates`` is strictly increasing, so pair (a, b) has beta' < alpha'
+    and :meth:`agrees_with` can find an interval's candidates by bisection.
+    """
 
     candidates: tuple[Fraction, ...]
     alpha_ok: tuple[bool, ...]
@@ -309,11 +318,10 @@ class SweepResult:
         for a, ok in enumerate(self.alpha_ok):
             yield a, self.beta_ok[:a] if ok else (False,) * a
 
-    @cached_property
-    def entries(self) -> tuple[SweepEntry, ...]:
-        """The verdict of every pair, alpha'-major, built on first read."""
-        c = self.candidates
-        return tuple(SweepEntry(c[a], beta_p, ok) for a, row in self._rows() for beta_p, ok in zip(c, row))
+    @property
+    def entries(self) -> "SweepEntries":
+        """The verdict of every pair, alpha'-major, as a view that builds an entry when it is read."""
+        return SweepEntries(self)
 
     def to_json_dict(self) -> dict:
         values = [float(c) for c in self.candidates]
@@ -347,15 +355,72 @@ class SweepResult:
         """True when every verdict matches the interval characterization.
 
         Equal to testing ``equivalence.admits`` per entry: the intervals' own
-        verdict vectors over the same candidates give the same rows.
+        verdict vectors over the same candidates give the same rows.  Each
+        interval holds a run of the increasing candidates, found by two
+        bisections, so no candidate is tested on its own.
         """
         c = self.candidates
-        stated = SweepResult(c, tuple(map(equivalence.alpha_interval.contains, c)),
-                             tuple(map(equivalence.beta_interval.contains, c)))
+        stated = SweepResult(c, _inside(c, equivalence.alpha_interval), _inside(c, equivalence.beta_interval))
         return all(row == stated_row for row, stated_row in zip(self._rows(), stated._rows()))
 
     def admitted(self) -> tuple[SweepEntry, ...]:
-        return tuple(e for e in self.entries if e.equivalent)
+        """The entries whose verdict is true, in entry order, built from the vectors alone."""
+        c, allowed = self.candidates, [b for b, ok in enumerate(self.beta_ok) if ok]
+        return tuple(SweepEntry(c[a], c[b], True) for a, ok in enumerate(self.alpha_ok) if ok
+                     for b in allowed[:bisect_left(allowed, a)])
+
+
+class SweepEntries(Sequence):
+    """A sweep's pair table: a read-only sequence of :class:`SweepEntry`, alpha'-major.
+
+    Entry ``a * (a - 1) // 2 + b`` is the pair (candidates[a], candidates[b]),
+    b < a.  No entry is kept: each is built from the verdict vectors when it
+    is read, so the length costs nothing.  It equals, and hashes as, the
+    tuple of its entries.
+    """
+
+    __slots__ = ("_sweep",)
+
+    def __init__(self, sweep: SweepResult) -> None:
+        self._sweep = sweep
+
+    def __len__(self) -> int:
+        c = len(self._sweep.candidates)
+        return c * (c - 1) // 2
+
+    def __getitem__(self, index):
+        at = range(len(self))[index]  # an index in range, or the range a slice selects
+        if isinstance(at, range):
+            return tuple(map(self.__getitem__, at))
+        a = (1 + math.isqrt(1 + 8 * at)) // 2
+        b = at - a * (a - 1) // 2
+        c, alpha_ok, beta_ok = self._sweep.candidates, self._sweep.alpha_ok, self._sweep.beta_ok
+        return SweepEntry(c[a], c[b], beta_ok[b] if alpha_ok[a] else False)
+
+    def __iter__(self) -> Iterator[SweepEntry]:
+        c = self._sweep.candidates
+        for a, row in self._sweep._rows():
+            yield from map(SweepEntry, (c[a],) * a, c, row)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SweepEntries):
+            other = tuple(other)
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return len(other) == len(self) and tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def _inside(candidates: tuple[Fraction, ...], interval: Interval) -> tuple[bool, ...]:
+    """``tuple(map(interval.contains, candidates))`` for strictly increasing candidates."""
+    start = (bisect_right if interval.lo_open else bisect_left)(candidates, interval.lo)
+    stop = (bisect_left if interval.hi_open else bisect_right)(candidates, interval.hi)
+    return (False,) * start + (True,) * (stop - start) + (False,) * (len(candidates) - stop)
 
 
 def candidate_thresholds(ratios: Iterable[Fraction]) -> tuple[Fraction, ...]:
@@ -366,12 +431,23 @@ def candidate_thresholds(ratios: Iterable[Fraction]) -> tuple[Fraction, ...]:
     (each ratio itself, and each open gap between neighbours); this set hits
     every cell, which makes the sweep verdict table exhaustive at cell level.
     """
-    distinct = sorted(set(ratios))
-    values = {Fraction(0), Fraction(1), *distinct}
-    values.update(
-        (lo + hi) / 2 for lo, hi in zip(distinct, distinct[1:])
-    )
-    return tuple(sorted(values))
+    return _candidates(ratios)[0]
+
+
+def _candidates(ratios: Iterable[Fraction]) -> tuple[tuple[Fraction, ...], dict[tuple[int, int], int]]:
+    """:func:`candidate_thresholds`, and each attained ratio's position in it by its integer ratio.
+
+    Each value is keyed by its numerator over ``scale``, twice the lcm of the
+    ratios' denominators: the keys order the values exactly, and the key of a
+    midpoint is the integer mean of its two (even) neighbours' keys.
+    """
+    attained = {r.as_integer_ratio() for r in ratios}
+    scale = 2 * math.lcm(*(d for _, d in attained))
+    key_of = {(n, d): n * (scale // d) for n, d in attained}
+    keys = sorted(key_of.values())
+    order = sorted({0, scale, *keys, *((lo + hi) // 2 for lo, hi in zip(keys, keys[1:]))})
+    index = {key: i for i, key in enumerate(order)}
+    return tuple(Fraction(key, scale) for key in order), {pair: index[key] for pair, key in key_of.items()}
 
 
 def sweep_equivalence_oracle(
@@ -392,11 +468,10 @@ def sweep_of(tp: TriPartition) -> SweepResult:
     pair: blocks are non-empty, disjoint and cover the universe, so element
     sets agree exactly when every attained ratio lands in its block's region.
     """
-    candidates = candidate_thresholds(tp.ratios)
-    position = {value: i for i, value in enumerate(candidates)}
+    candidates, position = _candidates(tp.ratios)
     wanted: dict[str, list[int]] = {"pos": [], "neg": [], "bnd": []}
     for ratio, region in zip(tp.ratios, tp.block_regions):
-        wanted[region].append(position[ratio])
+        wanted[region].append(position[ratio.as_integer_ratio()])
     # At the pair (candidates[a], candidates[b]), b < a, the ratio at position
     # i is probabilistically pos when i >= a, neg when i <= b and bnd between.
     # So alpha' settles the wanted-pos ratios and the upper side of the

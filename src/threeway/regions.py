@@ -15,15 +15,18 @@ lock.  So an expression must be a pure function of its input, and must not
 change after its first use.
 
 Comparisons carry no epsilon.  Degrees are exact fractions on the
-probabilistic path and plain floats on the linguistic one; Python compares
-Fraction/int/float cross-type exactly, so a threshold equal to an attained
-degree lands in the closed region, as the definitions require.  Degenerate
-tri-partitions (one or two empty regions) are legal results and are flagged
-via :attr:`TriPartition.empty_regions`.
+probabilistic path and plain floats on the linguistic one.  A finite float,
+int or Fraction is compared with the thresholds by cross-multiplying the exact
+integer ratios of both, which is how Python compares those types with one
+another, so a threshold equal to an attained degree lands in the closed
+region, as the definitions require.  Degenerate tri-partitions (one or two
+empty regions) are legal results and are flagged via
+:attr:`TriPartition.empty_regions`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -53,6 +56,20 @@ class Thresholds:
                 f"thresholds must satisfy 0 <= beta < alpha <= 1, got "
                 f"alpha={self.alpha}, beta={self.beta}"
             )
+
+    @cached_property
+    def _ratios(self) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
+        """Alpha's and beta's integer ratios, or None unless both are ints, floats or Fractions."""
+        alpha, beta = _integer_ratio(self.alpha), _integer_ratio(self.beta)
+        return None if alpha is None or beta is None else (alpha, beta)
+
+
+def _integer_ratio(value) -> Optional[tuple[int, int]]:
+    """A finite int, float or Fraction (not a bool or a subclass) as its lowest-terms ratio, else None."""
+    kind = type(value)
+    if kind is int or kind is Fraction or (kind is float and math.isfinite(value)):
+        return value.as_integer_ratio()
+    return None
 
 
 @dataclass(frozen=True)
@@ -151,10 +168,23 @@ class TriPartition:
 
 
 def region_of_degree(degree: Numeric, thresholds: Thresholds) -> str:
-    """Where a degree lands: ``pos`` at or above alpha, ``neg`` at or below beta, else ``bnd``."""
-    if degree >= thresholds.alpha:
+    """Where a degree lands: ``pos`` at or above alpha, ``neg`` at or below beta, else ``bnd``.
+
+    A finite int, float or Fraction degree against such thresholds is decided
+    on the integer ratios, with no Fraction built from a float; anything else
+    (NaN, an infinity, a bool, another number type) by ``>=`` and ``<=``.
+    """
+    ratios, ratio = thresholds._ratios, _integer_ratio(degree)
+    if ratios is None or ratio is None:
+        if degree >= thresholds.alpha:
+            return "pos"
+        if degree <= thresholds.beta:
+            return "neg"
+        return "bnd"
+    (n, d), ((alpha_n, alpha_d), (beta_n, beta_d)) = ratio, ratios
+    if n * alpha_d >= alpha_n * d:
         return "pos"
-    if degree <= thresholds.beta:
+    if n * beta_d <= beta_n * d:
         return "neg"
     return "bnd"
 

@@ -13,7 +13,7 @@ from threeway import (
     ApproximationSpace,
     Concept,
     Thresholds,
-    candidate_thresholds,
+    TriPartition,
     linguistic_regions,
     probabilistic_regions,
 )
@@ -135,6 +135,29 @@ def recount_regions(space: ApproximationSpace, concept: Concept, expr, threshold
     return degrees, regions
 
 
+def reference_candidates(ratios) -> tuple[Fraction, ...]:
+    """The sweep's candidates built on Fraction sets: 0, 1, each ratio and each midpoint ``(lo + hi) / 2``."""
+    distinct = sorted(set(ratios))
+    values = {Fraction(0), Fraction(1), *distinct}
+    values.update((lo + hi) / 2 for lo, hi in zip(distinct, distinct[1:]))
+    return tuple(sorted(values))
+
+
+def plain_region(degree, thresholds: Thresholds) -> str:
+    """A degree's region by the comparison operators alone: ``pos`` at or above alpha, ``neg`` at or below beta."""
+    if degree >= thresholds.alpha:
+        return "pos"
+    if degree <= thresholds.beta:
+        return "neg"
+    return "bnd"
+
+
+def reference_pairs(candidates, reproduces) -> tuple[SweepEntry, ...]:
+    """One entry per candidate pair beta' < alpha', alpha'-major, its verdict ``reproduces(Thresholds(alpha', beta'))``."""
+    return tuple(SweepEntry(alpha_p, beta_p, reproduces(Thresholds(alpha_p, beta_p)))
+                 for alpha_p in candidates for beta_p in candidates if beta_p < alpha_p)
+
+
 def reference_sweep(space: ApproximationSpace, concept: Concept, expr, thresholds) -> tuple:
     """The element-level sweep: rebuild both tri-partitions per candidate pair.
 
@@ -143,16 +166,22 @@ def reference_sweep(space: ApproximationSpace, concept: Concept, expr, threshold
     candidates and one entry per pair; the library sweep's ``candidates`` and
     ``entries`` must equal them entry for entry.
     """
-    candidates = candidate_thresholds(list(space.block_ratios(concept).values()))
+    candidates = reference_candidates(space.block_ratios(concept).values())
     lingual = linguistic_regions(space, concept, expr, thresholds)
-    entries = []
-    for alpha_p in candidates:
-        for beta_p in candidates:
-            if beta_p >= alpha_p:
-                continue
-            probabilistic = probabilistic_regions(space, concept, Thresholds(alpha_p, beta_p))
-            entries.append(SweepEntry(alpha_p, beta_p, lingual.same_regions(probabilistic)))
-    return candidates, tuple(entries)
+    return candidates, reference_pairs(
+        candidates, lambda probe: lingual.same_regions(probabilistic_regions(space, concept, probe)))
+
+
+def reference_table_sweep(tp: TriPartition) -> tuple:
+    """The block-level sweep of a block table, which no concept need produce.
+
+    A pair reproduces the table when every block's ratio lands in that
+    block's region under the pair, by :func:`plain_region`.
+    """
+    candidates = reference_candidates(tp.ratios)
+    return candidates, reference_pairs(
+        candidates, lambda probe: all(plain_region(ratio, probe) == region
+                                      for ratio, region in zip(tp.ratios, tp.block_regions)))
 
 
 def write_seeded_table(path, seed: int = 7, rows: int = 10_000, blocks: int = 200) -> None:

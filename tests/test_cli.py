@@ -411,24 +411,19 @@ class TestEquivalenceCommand:
         assert "Traceback" not in result.output
 
     def test_sweep_entries_stay_unbuilt(self, runner, monkeypatch):
-        sweeps = []
-        original = eq_module.sweep_of
+        def unbuilt(*fields):
+            raise AssertionError(f"a sweep entry was built: {fields}")
 
-        def recording_sweep(tp):
-            sweeps.append(original(tp))
-            return sweeps[-1]
-
-        monkeypatch.setattr(eq_module, "sweep_of", recording_sweep)
+        monkeypatch.setattr(eq_module, "SweepEntry", unbuilt)
         result = invoke(runner, "equivalence", *BASE, "--expr", "not_small",
                         "--alpha", "0.8", "--beta", "0.2", "--format", "json")
         assert result.exit_code == 0
         assert json.loads(result.output)["equivalence"]["sweep_agrees"] is True
-        for fmt in ("json", "text"):
-            result = invoke(runner, "sweep", *BASE, "--expr", "not_small",
-                            "--alpha", "0.8", "--beta", "0.2", "--format", fmt)
-            assert result.exit_code == 0
-        assert len(sweeps) == 3
-        assert not any("entries" in sweep.__dict__ for sweep in sweeps)
+        sweep = [invoke(runner, "sweep", *BASE, "--expr", "not_small", "--alpha", "0.8", "--beta", "0.2",
+                        "--format", fmt) for fmt in ("json", "text")]
+        assert [result.exit_code for result in sweep] == [0, 0]
+        assert len(json.loads(sweep[0].output)["verdicts"]) == 66
+        assert sweep[1].output.startswith("12 candidate values, 66 pairs\n")
 
 
 class TestVerifyCommand:

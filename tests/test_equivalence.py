@@ -43,7 +43,8 @@ from threeway import (
     verify_equivalence,
 )
 
-from threeway.equivalence import first_difference, format_endpoint, intervals_of, sweep_of
+from threeway import equivalence as eq_module
+from threeway.equivalence import SweepEntry, first_difference, format_endpoint, intervals_of, sweep_of
 from threeway.expressions import display_name
 from threeway.regions import REGION_NAMES
 
@@ -52,7 +53,9 @@ from conftest import (
     block_union,
     community_instance,
     dip_instance,
+    reference_candidates,
     reference_sweep,
+    reference_table_sweep,
     thirty_instance,
     thirty_instance_modified,
     twenty_instance,
@@ -477,6 +480,18 @@ class TestSweep:
         )
         assert candidates == expected
 
+    @settings(max_examples=300)
+    @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=10**6), max_size=12)
+           .flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=16) if pool else st.just([]))
+           .flatmap(lambda ratios: st.sampled_from([ratios, [Fraction(0), *ratios], [*ratios, Fraction(1)],
+                                                   [Fraction(1), *ratios, Fraction(0)]])))
+    @example([Fraction(1, 3)])
+    @example([Fraction(0), Fraction(0)])
+    @example([Fraction(1), Fraction(999_999, 1_000_000), Fraction(999_998, 999_999)])
+    def test_candidates_equal_the_fraction_set_construction(self, ratios):
+        # duplicates come from drawing the ratios out of a smaller pool
+        assert candidate_thresholds(ratios) == reference_candidates(ratios)
+
     def test_community_verdicts(self, community):
         space, sport = community
         sweep = sweep_equivalence_oracle(space, sport, builtin("not_small"), TH_COMMUNITY)
@@ -675,17 +690,56 @@ class TestAgreesWith:
         assert [f.name for f in dataclasses.fields(sweep)] == ["candidates", "alpha_ok", "beta_ok"]
         assert len(sweep.alpha_ok) == len(sweep.beta_ok) == len(sweep.candidates)
 
-    def test_agreement_and_report_leave_the_entries_unbuilt(self, community):
+    def test_agreement_and_report_leave_the_entries_unbuilt(self, community, monkeypatch):
+        built = []
+
+        def counted(*fields):
+            built.append(SweepEntry(*fields))
+            return built[-1]
+
+        monkeypatch.setattr(eq_module, "SweepEntry", counted)
         space, sport = community
         expr = builtin("not_small")
         tp = linguistic_regions(space, sport, expr, TH_COMMUNITY)
         equivalence = intervals_of(tp, expr)
         sweep = sweep_equivalence_oracle(space, sport, expr, TH_COMMUNITY)
         assert sweep.agrees_with(equivalence)
-        assert "entries" not in sweep.__dict__
         rep = report(tp, expr, TH_COMMUNITY, sport, equivalence=equivalence, sweep=sweep)
         assert rep.sweep_agrees is True
-        assert "entries" not in sweep.__dict__
+        assert len(sweep.entries) == 66
+        assert built == []
+        admitted = sweep.admitted()
+        assert len(admitted) == 4
+        assert built == list(admitted)
+
+
+class TestPairTableView:
+    @settings(max_examples=200)
+    @given(block_tables())
+    def test_view_equals_the_block_level_reference(self, tp):
+        sweep = sweep_of(tp)
+        candidates, expected = reference_table_sweep(tp)
+        entries = sweep.entries
+        assert sweep.candidates == candidates
+        assert tuple(entries) == expected
+        assert entries == expected and expected == entries
+        assert not entries != expected
+        assert len(entries) == len(expected)
+        assert [entries[i] for i in range(-len(expected), len(expected))] == list(expected * 2)
+        for i in (len(expected), -len(expected) - 1):
+            with pytest.raises(IndexError):
+                entries[i]
+        for cut in (slice(None), slice(1, None, 2), slice(None, None, -1), slice(-3, None), slice(5, 2)):
+            assert entries[cut] == expected[cut]
+        assert sweep.admitted() == tuple(e for e in entries if e.equivalent)
+        assert hash(entries) == hash(expected)
+
+    def test_view_is_not_equal_to_other_sequences(self, community):
+        space, sport = community
+        entries = sweep_equivalence_oracle(space, sport, builtin("not_small"), TH_COMMUNITY).entries
+        assert entries != list(entries)
+        assert entries != tuple(entries)[:-1]
+        assert entries == sweep_equivalence_oracle(space, sport, builtin("not_small"), TH_COMMUNITY).entries
 
 
 class TestDeltaRegions:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import random
 import sys
 import threading
@@ -39,12 +40,13 @@ from threeway import (
 
 from threeway.cli import parse_expression
 from threeway.equivalence import intervals_of, sweep_of
-from threeway.regions import _KEPT_TABLES
+from threeway.regions import _KEPT_TABLES, region_of_degree
 
 from conftest import (
     block_union,
     community_instance,
     labels_of,
+    plain_region,
     recount_ratios,
     recount_regions,
     twenty_instance,
@@ -82,6 +84,34 @@ class TestThresholds:
     def test_invalid(self, alpha, beta):
         with pytest.raises(ThresholdError):
             Thresholds(alpha, beta)
+
+
+@st.composite
+def exact_or_float_thresholds(draw):
+    """Distinct Fraction thresholds with denominators up to 10**6, half the time as the nearest floats."""
+    beta, alpha = draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+                                min_size=2, max_size=2, unique=True).map(sorted))
+    if draw(st.booleans()):
+        beta, alpha = float(beta), float(alpha)
+    return Thresholds(alpha, beta)
+
+
+def degrees_near(thresholds: Thresholds):
+    """Degrees of every type, the thresholds' neighbouring floats, signed zeros, the tiniest float and NaN among them."""
+    edges = [math.nextafter(float(t), toward) for t in (thresholds.alpha, thresholds.beta)
+             for toward in (-math.inf, math.inf)]
+    specials = [*edges, thresholds.alpha, thresholds.beta, float(thresholds.alpha), float(thresholds.beta),
+                0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf, True, False, 0, 1]
+    return st.one_of(st.sampled_from(specials), st.floats(), st.integers(min_value=-3, max_value=3),
+                     st.fractions(min_value=-1, max_value=2, max_denominator=10**6), st.booleans())
+
+
+class TestRegionOfDegree:
+    @settings(max_examples=500)
+    @given(st.one_of(exact_or_float_thresholds(), st.just(Thresholds(1, 0))), st.data())
+    def test_equals_the_comparison_chain(self, thresholds, data):
+        degree = data.draw(degrees_near(thresholds))
+        assert region_of_degree(degree, thresholds) == plain_region(degree, thresholds)
 
 
 class TestProbabilisticRegions:
