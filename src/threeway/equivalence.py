@@ -54,14 +54,14 @@ pair of these c <= 2k + 1 candidates (k distinct ratios) on the same block
 table, never on element sets: each attained ratio's wanted region is its
 block's region.  The result is two verdict vectors, one over alpha' and one
 over beta'; the pair table (one verdict per beta' < alpha') is a read-only
-view of them that builds an entry only when it is read, and the text and JSON
-forms are rendered from the vectors and yielded an alpha' row at a time, in
-pair order.  The candidates are deduplicated and ordered on exact integer
-keys over one common denominator, so no Fraction is hashed, added or
-divided.  The sweep reads no bound and no interval and assumes no
-monotonicity; wherever the intervals are given, its table must match them
-on every pair.  :func:`sweep_equivalence_oracle` builds the tri-partition
-and delegates.
+sequence view of them that builds an entry only when it is read by index, and
+the text and JSON forms are rendered from the vectors and yielded an alpha'
+row at a time, in pair order.  The candidates are ordered, and each block's
+ratio compared with them, on exact integer keys over one common denominator,
+so no Fraction is hashed, added or divided.  The sweep reads no bound and no
+interval and assumes no monotonicity; wherever the intervals are given, its
+table must match them on every pair.  :func:`sweep_equivalence_oracle` builds
+the tri-partition and delegates.
 """
 
 from __future__ import annotations
@@ -343,7 +343,7 @@ class SweepResult:
     def text_chunks(self) -> Iterator[str]:
         """:meth:`to_text` a line or an alpha' row at a time."""
         shown = [format_endpoint(c) for c in self.candidates]
-        yield f"{len(shown)} candidate values, {len(shown) * (len(shown) - 1) // 2} pairs\n"
+        yield f"{len(shown)} candidate values, {len(self.entries)} pairs\n"
         for a, row in self._rows():  # one string per alpha' row, not one per pair
             yield "".join(f"  {'=' if ok else 'x'} alpha'={shown[a]} beta'={beta_p}\n"
                           for beta_p, ok in zip(shown, row))
@@ -351,17 +351,23 @@ class SweepResult:
     def to_text(self) -> str:
         return "".join(self.text_chunks())
 
+    def _live(self) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+        """The verdicts a true pair reads: alpha' above the first true beta', beta' below the last true alpha'."""
+        first_beta = next((b for b, ok in enumerate(self.beta_ok) if ok), len(self.beta_ok))
+        last_alpha = max((a for a, ok in enumerate(self.alpha_ok) if ok), default=-1)
+        return (tuple(ok and a > first_beta for a, ok in enumerate(self.alpha_ok)),
+                tuple(ok and b < last_alpha for b, ok in enumerate(self.beta_ok)))
+
     def agrees_with(self, equivalence: ThresholdEquivalence) -> bool:
         """True when every verdict matches the interval characterization.
 
-        Equal to testing ``equivalence.admits`` per entry: the intervals' own
-        verdict vectors over the same candidates give the same rows.  Each
-        interval holds a run of the increasing candidates, found by two
-        bisections, so no candidate is tested on its own.
+        Equal to testing ``equivalence.admits`` per entry, in O(c): the true pairs are
+        every (a, b), b < a, of the :meth:`_live` candidates, so two tables agree when
+        those do, and each interval's candidates are a run found by two bisections.
         """
         c = self.candidates
         stated = SweepResult(c, _inside(c, equivalence.alpha_interval), _inside(c, equivalence.beta_interval))
-        return all(row == stated_row for row, stated_row in zip(self._rows(), stated._rows()))
+        return self._live() == stated._live()
 
     def admitted(self) -> tuple[SweepEntry, ...]:
         """The entries whose verdict is true, in entry order, built from the vectors alone."""
@@ -375,8 +381,7 @@ class SweepEntries(Sequence):
 
     Entry ``a * (a - 1) // 2 + b`` is the pair (candidates[a], candidates[b]),
     b < a.  No entry is kept: each is built from the verdict vectors when it
-    is read, so the length costs nothing.  It equals, and hashes as, the
-    tuple of its entries.
+    is read by index, so the length costs nothing.
     """
 
     __slots__ = ("_sweep",)
@@ -397,24 +402,6 @@ class SweepEntries(Sequence):
         c, alpha_ok, beta_ok = self._sweep.candidates, self._sweep.alpha_ok, self._sweep.beta_ok
         return SweepEntry(c[a], c[b], beta_ok[b] if alpha_ok[a] else False)
 
-    def __iter__(self) -> Iterator[SweepEntry]:
-        c = self._sweep.candidates
-        for a, row in self._sweep._rows():
-            yield from map(SweepEntry, (c[a],) * a, c, row)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SweepEntries):
-            other = tuple(other)
-        if not isinstance(other, tuple):
-            return NotImplemented
-        return len(other) == len(self) and tuple(self) == other
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
 
 def _inside(candidates: tuple[Fraction, ...], interval: Interval) -> tuple[bool, ...]:
     """``tuple(map(interval.contains, candidates))`` for strictly increasing candidates."""
@@ -431,23 +418,21 @@ def candidate_thresholds(ratios: Iterable[Fraction]) -> tuple[Fraction, ...]:
     (each ratio itself, and each open gap between neighbours); this set hits
     every cell, which makes the sweep verdict table exhaustive at cell level.
     """
-    return _candidates(ratios)[0]
+    keys, scale = _candidate_keys(ratios)
+    return tuple(Fraction(key, scale) for key in keys)
 
 
-def _candidates(ratios: Iterable[Fraction]) -> tuple[tuple[Fraction, ...], dict[tuple[int, int], int]]:
-    """:func:`candidate_thresholds`, and each attained ratio's position in it by its integer ratio.
+def _candidate_keys(ratios: Iterable[Fraction]) -> tuple[list[int], int]:
+    """:func:`candidate_thresholds` as increasing integer numerators over a common ``scale``.
 
-    Each value is keyed by its numerator over ``scale``, twice the lcm of the
-    ratios' denominators: the keys order the values exactly, and the key of a
-    midpoint is the integer mean of its two (even) neighbours' keys.
+    ``scale`` is twice the lcm of the ratios' denominators, so ratio ``n / d``
+    has key ``n * (scale // d)``, the keys order the values exactly, and the
+    key of a midpoint is the integer mean of its two (even) neighbours' keys.
     """
     attained = {r.as_integer_ratio() for r in ratios}
     scale = 2 * math.lcm(*(d for _, d in attained))
-    key_of = {(n, d): n * (scale // d) for n, d in attained}
-    keys = sorted(key_of.values())
-    order = sorted({0, scale, *keys, *((lo + hi) // 2 for lo, hi in zip(keys, keys[1:]))})
-    index = {key: i for i, key in enumerate(order)}
-    return tuple(Fraction(key, scale) for key in order), {pair: index[key] for pair, key in key_of.items()}
+    keys = sorted(n * (scale // d) for n, d in attained)
+    return sorted({0, scale, *keys, *((lo + hi) // 2 for lo, hi in zip(keys, keys[1:]))}), scale
 
 
 def sweep_equivalence_oracle(
@@ -468,21 +453,21 @@ def sweep_of(tp: TriPartition) -> SweepResult:
     pair: blocks are non-empty, disjoint and cover the universe, so element
     sets agree exactly when every attained ratio lands in its block's region.
     """
-    candidates, position = _candidates(tp.ratios)
+    keys, scale = _candidate_keys(tp.ratios)
     wanted: dict[str, list[int]] = {"pos": [], "neg": [], "bnd": []}
     for ratio, region in zip(tp.ratios, tp.block_regions):
-        wanted[region].append(position[ratio.as_integer_ratio()])
-    # At the pair (candidates[a], candidates[b]), b < a, the ratio at position
-    # i is probabilistically pos when i >= a, neg when i <= b and bnd between.
-    # So alpha' settles the wanted-pos ratios and the upper side of the
-    # wanted-bnd ones, and beta' the wanted-neg ratios and their lower side.
-    lowest_pos = min(wanted["pos"], default=len(candidates))
+        wanted[region].append(ratio.numerator * (scale // ratio.denominator))
+    # A ratio is probabilistically pos at or above alpha', neg at or below
+    # beta' and bnd between, so alpha' settles the wanted-pos ratios and the
+    # upper side of the wanted-bnd ones, and beta' the rest.  An absent
+    # region's extremes lie outside the keys' range [0, scale].
+    lowest_pos = min(wanted["pos"], default=scale + 1)
     highest_neg = max(wanted["neg"], default=-1)
-    lowest_bnd = min(wanted["bnd"], default=len(candidates))
+    lowest_bnd = min(wanted["bnd"], default=scale + 1)
     highest_bnd = max(wanted["bnd"], default=-1)
-    return SweepResult(candidates,
-                       tuple(highest_bnd < a <= lowest_pos for a in range(len(candidates))),
-                       tuple(highest_neg <= b < lowest_bnd for b in range(len(candidates))))
+    return SweepResult(tuple(Fraction(key, scale) for key in keys),
+                       tuple(highest_bnd < key <= lowest_pos for key in keys),
+                       tuple(highest_neg <= key < lowest_bnd for key in keys))
 
 
 def coincides_with_pawlak(bounds: RegionBounds) -> bool:

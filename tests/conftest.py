@@ -184,6 +184,23 @@ def reference_table_sweep(tp: TriPartition) -> tuple:
                                       for ratio, region in zip(tp.ratios, tp.block_regions)))
 
 
+def reference_verdicts(tp: TriPartition) -> tuple:
+    """The sweep's candidates and its two verdict vectors, each candidate compared as a Fraction.
+
+    alpha' holds when every wanted-``bnd`` ratio is below it and every
+    wanted-``pos`` ratio at or above it; beta' holds when every wanted-``neg``
+    ratio is at or below it and every wanted-``bnd`` ratio above it.
+    """
+    candidates = reference_candidates(tp.ratios)
+    wanted = {name: [r for r, region in zip(tp.ratios, tp.block_regions) if region == name]
+              for name in ("pos", "neg", "bnd")}
+    alpha_ok = tuple(all(r < t for r in wanted["bnd"]) and all(r >= t for r in wanted["pos"])
+                     for t in candidates)
+    beta_ok = tuple(all(r <= t for r in wanted["neg"]) and all(r > t for r in wanted["bnd"])
+                    for t in candidates)
+    return candidates, alpha_ok, beta_ok
+
+
 def write_seeded_table(path, seed: int = 7, rows: int = 10_000, blocks: int = 200) -> None:
     """Write a CSV ``id,grp,x`` of ``rows`` elements in ``blocks`` groups.
 
