@@ -5,9 +5,9 @@ and non-commitment regions, either directly from inclusion ratios
 (conditional probabilities) or through an evaluative linguistic expression.
 Whenever the attained ratios stay ordered by region (always, for an increasing
 expression) the library reconstructs exactly which probabilistic threshold
-pairs reproduce the linguistic regions, checks the answer against a
-brute-force sweep, and renders plain-language explanations for every
-assignment.
+pairs reproduce the linguistic regions, checks the answer against the sweep
+(a second, separately coded decision on the same block table), and renders
+plain-language explanations for every assignment.
 """
 
 from .equivalence import (
@@ -43,6 +43,7 @@ from .expressions import (
     quantifier_for,
 )
 from .regions import (
+    PreconditionError,
     RoughSetPair,
     Thresholds,
     ThresholdError,
@@ -81,6 +82,7 @@ __all__ = [
     "IdentityExpr",
     "Interval",
     "NonMonotoneExpressionError",
+    "PreconditionError",
     "RegionBounds",
     "RoughSetPair",
     "Segment",

@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
-import signal
 import sys
 from fractions import Fraction
 
@@ -246,7 +245,7 @@ def verify(tp, expr, thresholds, concept, prob_alpha, prob_beta) -> None:
 
 @analysis_command(FORMAT_OPTION)
 def sweep(tp, expr, thresholds, concept, fmt) -> None:
-    """Brute-force verdict table over every decision-relevant candidate pair."""
+    """Verdict table over every decision-relevant candidate pair, decided apart from the intervals."""
     emit(eq.sweep_of(tp), fmt)
 
 
@@ -258,6 +257,7 @@ def main(argv=None) -> None:
         args = vars(PARSER.parse_args(argv))
         args.pop("run")(**args)
     except BrokenPipeError:  # stdout closed: end as SIGPIPE ends `cat`, not as a data error
+        import signal  # imported here, so start-up does not pay for it
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
         os.kill(os.getpid(), signal.SIGPIPE)
     except (ConfigError, ThresholdError, ExpressionError, DomainError) as exc:

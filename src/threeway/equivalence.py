@@ -46,7 +46,8 @@ each block's ratio through the probe (the probabilistic route is the
 identity expression) and names the first block whose region differs, and
 :func:`verify_equivalence` is that search coming up empty.
 
-An independent brute-force check is provided alongside.  Region membership
+A second, separately coded decision on the block table is provided
+alongside: the sweep.  Region membership
 only depends on where a threshold sits relative to the finite ratio set, so
 the attained ratios, the midpoints between consecutive ones, and 0 and 1 hit
 every equivalence cell of threshold space.  :func:`sweep_of` decides every
@@ -60,7 +61,10 @@ row at a time, in pair order.  The candidates are ordered, and each block's
 ratio compared with them, on exact integer keys over one common denominator,
 so no Fraction is hashed, added or divided.  The sweep reads no bound and no
 interval and assumes no monotonicity; wherever the intervals are given, its
-table must match them on every pair.  :func:`sweep_equivalence_oracle` builds
+table must match them on every pair.  It is no brute-force search: it codes
+the cut argument above again, as one range test per candidate against the
+wanted regions' extreme keys; the test suite's reference is the definitional
+check, every pair against every block.  :func:`sweep_equivalence_oracle` builds
 the tri-partition and delegates.
 """
 
@@ -69,13 +73,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .expressions import Numeric, display_name
-from .regions import RegionBounds, Thresholds, TriPartition, linguistic_regions, region_of_degree
+from .records import Record
+from .regions import PreconditionError, RegionBounds, Thresholds, TriPartition, linguistic_regions, region_of_degree
 from .render import bracket, render
 from .spaces import ApproximationSpace, Concept
 
@@ -100,8 +104,7 @@ class EmptinessCase(Enum):
     POS_EMPTY = "pos_empty"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """A non-empty rational interval with explicit open/closed endpoints."""
 
     lo: Fraction
@@ -109,9 +112,10 @@ class Interval:
     lo_open: bool
     hi_open: bool
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi or (self.lo == self.hi and (self.lo_open or self.hi_open)):
-            raise ValueError(f"empty interval from {self.lo} to {self.hi}")
+    def __init__(self, lo: Fraction, hi: Fraction, lo_open: bool, hi_open: bool) -> None:  # as Record's, but faster
+        if lo > hi or (lo == hi and (lo_open or hi_open)):
+            raise PreconditionError(f"empty interval from {lo} to {hi}")
+        self.__dict__.update(lo=lo, hi=hi, lo_open=lo_open, hi_open=hi_open)
 
     def contains(self, value: Numeric) -> bool:
         lo_ok = value > self.lo if self.lo_open else value >= self.lo
@@ -139,8 +143,7 @@ def format_endpoint(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator} ≈ {float(value):.6g}"
 
 
-@dataclass(frozen=True)
-class ThresholdEquivalence:
+class ThresholdEquivalence(Record):
     """The set of probabilistic threshold pairs reproducing the source regions.
 
     A pair is admitted when beta' < alpha' and each lies in its interval.
@@ -223,9 +226,9 @@ def check_bounds_ordering(bounds: RegionBounds, expr_increasing: bool) -> bool:
     increasing; both are preconditions.
     """
     if not expr_increasing:
-        raise ValueError("ordering check requires an increasing expression")
+        raise PreconditionError("ordering check requires an increasing expression")
     if not bounds.all_present():
-        raise ValueError("ordering check requires all four bounds (no empty region)")
+        raise PreconditionError("ordering check requires all four bounds (no empty region)")
     return (
         0 <= bounds.neg_max < bounds.bnd_min <= bounds.bnd_max < bounds.pos_min <= 1
     )
@@ -262,11 +265,8 @@ def intervals_of(tp: TriPartition, expr) -> ThresholdEquivalence:
     for upper, (lo, hi) in ((("bnd", "pos"), beta), (("pos",), alpha)):
         if lo >= hi:
             _refuse(tp, expr, upper, lo, hi)
-    return ThresholdEquivalence(
-        case=EmptinessCase(f"{empty[0]}_empty" if empty else "all_nonempty"),
-        alpha_interval=Interval(*alpha, True, False),
-        beta_interval=Interval(*beta, False, True),
-    )
+    return ThresholdEquivalence(EmptinessCase(f"{empty[0]}_empty" if empty else "all_nonempty"),
+                                Interval(*alpha, True, False), Interval(*beta, False, True))
 
 
 def verify_equivalence(
@@ -294,15 +294,16 @@ def first_difference(tp: TriPartition, probe: Thresholds) -> Optional[int]:
                  if region_of_degree(ratio, probe) != region), None)
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(Record):
     alpha: Fraction
     beta: Fraction
     equivalent: bool
 
+    def __init__(self, alpha, beta, equivalent) -> None:  # as Record's, but faster
+        self.__dict__.update(alpha=alpha, beta=beta, equivalent=equivalent)
 
-@dataclass(frozen=True)
-class SweepResult:
+
+class SweepResult(Record):
     """The verdict at (candidates[a], candidates[b]), b < a, is ``alpha_ok[a] and beta_ok[b]``.
 
     ``candidates`` is strictly increasing, so pair (a, b) has beta' < alpha'
@@ -478,5 +479,5 @@ def coincides_with_pawlak(bounds: RegionBounds) -> bool:
     and the positive region only ratio 1.
     """
     if not bounds.all_present():
-        raise ValueError("the coincidence test requires all four bounds (no empty region)")
+        raise PreconditionError("the coincidence test requires all four bounds (no empty region)")
     return bounds.neg_max == 0 and bounds.pos_min == 1

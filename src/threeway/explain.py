@@ -16,13 +16,13 @@ sorted universe.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import partial
 from typing import Optional
 
 from .equivalence import RegionBounds, SweepResult, ThresholdEquivalence, format_endpoint
 from .expressions import display_name, quantifier_for
+from .records import Record
 from .regions import REGION_NAMES, Thresholds, TriPartition
 from .render import bracket, quote, render
 from .spaces import Concept
@@ -41,14 +41,17 @@ _DECISION_BY_REGION = {"pos": Decision.ACCEPT, "neg": Decision.REJECT, "bnd": De
 _REGION_WORD = {"pos": "positive", "neg": "negative", "bnd": "boundary"}
 
 
-@dataclass(frozen=True)
-class Explanation:
+class Explanation(Record):
     element: str
     block: str
     region: Decision
     degree: float
     sentence: str
-    quantifier: Optional[str] = None
+    quantifier: Optional[str]
+
+    def __init__(self, element, block, region, degree, sentence, quantifier=None) -> None:  # as Record's, but faster
+        self.__dict__.update(element=element, block=block, region=region, degree=degree, sentence=sentence,
+                             quantifier=quantifier)
 
 
 def shown(label: str) -> str:
@@ -83,8 +86,7 @@ _EMPTY_REGION_NOTES = {
 }
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     """One analysis run: a tri-partition, how it was built, and what was derived from it."""
 
     tp: TriPartition
@@ -145,7 +147,7 @@ class AnalysisReport:
             lines.append(f"note: {note}")
         if self.bounds is not None:
             lines.append("region bounds (attained inclusion ratios):")
-            for name, value in asdict(self.bounds).items():
+            for name, value in self.bounds._asdict().items():
                 rendered = "absent (region empty)" if value is None else format_endpoint(value)
                 lines.append(f"  {name} = {rendered}")
         if self.equivalence is not None:
@@ -181,7 +183,7 @@ class AnalysisReport:
         if self.bounds is not None:
             data["bounds"] = {
                 name: (None if value is None else float(value))
-                for name, value in asdict(self.bounds).items()
+                for name, value in self.bounds._asdict().items()
             }
         if self.equivalence is not None:
             data["equivalence"] = self.equivalence.to_json_dict()

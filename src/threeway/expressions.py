@@ -31,10 +31,11 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
 from itertools import pairwise
 from typing import Optional, Union
+
+from .records import Record
 
 Numeric = Union[int, float, Fraction]
 
@@ -96,8 +97,7 @@ def _check_unit_interval(x: Numeric, what: str = "argument") -> None:
         raise DomainError(f"{what} must lie in [0, 1], got {x}")
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Record):
     """One piece of a piecewise expression on a sub-interval of [0, 1].
 
     ``form`` selects the formula:
@@ -158,8 +158,7 @@ class Segment:
                 )
 
 
-@dataclass(frozen=True)
-class EvalExpr:
+class EvalExpr(Record):
     """A piecewise expression whose segments tile [0, 1] exactly.
 
     Construction validates the tiling (no gaps, no overlaps), the output
@@ -224,8 +223,7 @@ class EvalExpr:
         return self.segments[bisect_right(self._ends, (x, False))].value(x)
 
 
-@dataclass(frozen=True)
-class StepExpr:
+class StepExpr(Record):
     """Crisp threshold expression: 1 when the input reaches ``cutoff``, else 0.
 
     Comparisons are exact (no float conversion of the input), so
@@ -249,8 +247,7 @@ class StepExpr:
         return 1.0 if x >= self.cutoff else 0.0
 
 
-@dataclass(frozen=True)
-class IdentityExpr:
+class IdentityExpr(Record):
     """The identity judgment: the degree of a size is the size itself.
 
     Evaluation returns the input unchanged (a Fraction stays a Fraction), so
@@ -277,7 +274,7 @@ def is_increasing(expr, grid_step: Numeric = DEFAULT_GRID_STEP) -> bool:
     """
     step = as_exact(grid_step, "grid_step")
     if not 0 < step <= Fraction(1, 1000):
-        raise ValueError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
+        raise ExpressionError(f"grid_step must lie in (0, 1e-3], got {grid_step}")
     grid = (min(k * step, _ONE) for k in range(math.ceil(1 / step) + 1))
     return all(not v < prev for prev, v in pairwise(map(expr.evaluate, grid)))
 
@@ -346,9 +343,9 @@ def quantifier_for(expr) -> Optional[str]:
 def expression_to_json_dict(expr: EvalExpr) -> dict:
     """Serialize a piecewise expression to its JSON dictionary form: its fields, each bound as
     :func:`_written` gives it, an unset ``declared_monotone`` left out."""
-    data = {name: value for name, value in asdict(expr).items() if value is not None}
-    data["segments"] = [{k: _written(v, f"segment {i} {k}") if isinstance(v, Fraction) else v for k, v in s.items()}
-                        for i, s in enumerate(data["segments"])]
+    data = {name: value for name, value in expr._asdict().items() if value is not None}
+    data["segments"] = [{k: _written(v, f"segment {i} {k}") if isinstance(v, Fraction) else v
+                         for k, v in s._asdict().items()} for i, s in enumerate(expr.segments)]
     return data
 
 
@@ -362,9 +359,8 @@ def _written(bound: Fraction, what: str) -> float | str:
 
 
 def _refuse_unknown_fields(raw: dict, cls, what: str) -> None:
-    """Refuse a key of ``raw`` that names no field of the dataclass ``cls``."""
-    known = {f.name for f in fields(cls)}
-    unknown = ", ".join(repr(key) for key in raw if key not in known)
+    """Refuse a key of ``raw`` that names no field of the record class ``cls``."""
+    unknown = ", ".join(repr(key) for key in raw if key not in cls._fields)
     if unknown:
         raise ExpressionError(f"{what} has unknown field(s) {unknown}")
 
@@ -410,11 +406,11 @@ def expression_from_json_dict(data: dict) -> EvalExpr:
         if not isinstance(raw, dict):
             raise ExpressionError(f"segment {i} must be an object")
         _refuse_unknown_fields(raw, Segment, f"segment {i}")
-        missing = [f.name for f in fields(Segment) if f.name not in raw and f.default is MISSING]
+        missing = [name for name in Segment._fields if name not in raw and name not in Segment._defaults]
         if missing:
             raise ExpressionError(f"segment {i} is missing field {missing[0]!r}")
-        segments.append(Segment(**{f.name: _FIELD_READERS[f.type](raw[f.name], f"segment {i} {f.name}")
-                                   for f in fields(Segment) if f.name in raw}))
+        segments.append(Segment(**{name: _FIELD_READERS[kind](raw[name], f"segment {i} {name}")
+                                   for name, kind in Segment.__annotations__.items() if name in raw}))
     declared = data.get("declared_monotone")
     if declared is not None and not isinstance(declared, bool):
         raise ExpressionError("'declared_monotone' must be a boolean when present")

@@ -27,12 +27,12 @@ empty regions) are legal results and are flagged via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from typing import Mapping, Optional
 
 from .expressions import IdentityExpr, Numeric, StepExpr, as_exact
+from .records import Record
 from .render import bracket, quote, render
 from .spaces import ApproximationSpace, Concept
 
@@ -43,19 +43,23 @@ class ThresholdError(ValueError):
     """A threshold pair violates 0 <= beta < alpha <= 1."""
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class PreconditionError(ValueError):
+    """A caller's values break a documented precondition of a function or a record."""
+
+
+class Thresholds(Record):
     """Acceptance/rejection cut points with beta strictly below alpha."""
 
     alpha: Numeric
     beta: Numeric
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.beta < self.alpha <= 1):
+    def __init__(self, alpha: Numeric, beta: Numeric) -> None:  # as Record's, but faster
+        if not (0 <= beta < alpha <= 1):
             raise ThresholdError(
                 f"thresholds must satisfy 0 <= beta < alpha <= 1, got "
-                f"alpha={self.alpha}, beta={self.beta}"
+                f"alpha={alpha}, beta={beta}"
             )
+        self.__dict__.update(alpha=alpha, beta=beta)
 
     @cached_property
     def _ratios(self) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
@@ -72,8 +76,7 @@ def _integer_ratio(value) -> Optional[tuple[int, int]]:
     return None
 
 
-@dataclass(frozen=True)
-class RegionBounds:
+class RegionBounds(Record):
     """Extreme inclusion ratios attained per region; None for empty regions."""
 
     neg_max: Optional[Fraction]
@@ -88,8 +91,7 @@ class RegionBounds:
         return all(v is not None for v in self.as_tuple())
 
 
-@dataclass(frozen=True, eq=False)
-class TriPartition:
+class TriPartition(Record, hidden=("space",)):
     """Three disjoint regions covering the universe, as the block table they come from.
 
     ``ratios``, ``block_degrees`` and ``block_regions`` hold each block's
@@ -101,10 +103,13 @@ class TriPartition:
     part in it or in the JSON form.
     """
 
-    space: ApproximationSpace = field(repr=False)
+    space: ApproximationSpace
     ratios: tuple[Fraction, ...]
     block_degrees: tuple[Numeric, ...]
     block_regions: tuple[str, ...]
+
+    def __init__(self, space, ratios, block_degrees, block_regions) -> None:  # as Record's, but faster
+        self.__dict__.update(space=space, ratios=ratios, block_degrees=block_degrees, block_regions=block_regions)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TriPartition):
@@ -252,8 +257,7 @@ def linguistic_regions(
     return kept[1]
 
 
-@dataclass(frozen=True)
-class RoughSetPair:
+class RoughSetPair(Record):
     """Lower/upper approximation pair; the lower set never exceeds the upper."""
 
     lower: frozenset[str]
@@ -261,7 +265,7 @@ class RoughSetPair:
 
     def __post_init__(self) -> None:
         if not self.lower <= self.upper:
-            raise ValueError("lower approximation must be a subset of the upper")
+            raise PreconditionError("lower approximation must be a subset of the upper")
 
 
 def rough_set_from_tripartition(tp: TriPartition) -> RoughSetPair:

@@ -19,19 +19,19 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
+
+from .records import Record
 
 
 class DataError(ValueError):
     """Input data violates its contract (bad table, unknown id/column, ...)."""
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(Record):
     """A subset of the universe under study, with a display label."""
 
     members: frozenset[str]

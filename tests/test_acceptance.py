@@ -320,7 +320,7 @@ def test_criterion_7_randomized_property_suite():
         crisp = probabilistic_regions(space, concept, Thresholds(Fraction(1), Fraction(0)))
         assert rough_set_from_tripartition(crisp) == pawlak_rough_set(space, concept)
 
-        # interval characterization vs. brute-force sweep
+        # interval characterization vs. the sweep's separate decision
         if len(tp.empty_regions) <= 1:
             result = equivalent_threshold_intervals(space, concept, expr, th)
             sweep = sweep_equivalence_oracle(space, concept, expr, th)

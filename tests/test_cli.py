@@ -531,6 +531,18 @@ class TestParser:
         )
         assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
+    def test_start_up_imports_no_dataclasses_or_inspect(self):
+        # the child imports the copy this process imported: src, or an installed package
+        home = Path(cli_module.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; import threeway.cli; "
+             "print(threeway.cli.__file__); print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+            capture_output=True, text=True, env=child_env(PYTHONPATH=str(home)), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        where, loaded = done.stdout.splitlines()
+        assert (Path(where).resolve(), loaded) == (Path(cli_module.__file__).resolve(), "[]")
+
 
 class TestSharedOptions:
     def test_every_subcommand_is_registered(self, runner):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -225,9 +224,9 @@ class TestReport:
         assert block["beta_interval"]["hi_open"] is True
 
     def test_fields_are_the_run_inputs(self):
-        assert [f.name for f in dataclasses.fields(AnalysisReport)] == [
+        assert AnalysisReport._fields == (
             "tp", "expr", "thresholds", "concept_label", "bounds", "equivalence", "sweep_agrees",
-        ]
+        )
 
     def test_text_builds_no_element_view(self, community_run):
         space, sport, expr, tp = community_run

@@ -1,14 +1,18 @@
 """Random input at the program's boundary: each call succeeds or raises a typed error.
 
 The typed errors are the ones the CLI maps to exit 2 or 3; anything else
-would leave it as a traceback.
+would leave it as a traceback.  A public function or record whose
+precondition a caller's values break raises a library type too, never a bare
+ValueError.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from threeway import (
@@ -16,11 +20,18 @@ from threeway import (
     DataError,
     DomainError,
     ExpressionError,
+    Interval,
+    PreconditionError,
+    RegionBounds,
+    RoughSetPair,
     builtin,
+    check_bounds_ordering,
+    coincides_with_pawlak,
     concept_from_column,
     expression_from_json_dict,
     expression_to_json_dict,
     from_attribute_table,
+    is_increasing,
     load_table,
 )
 from threeway.cli import ConfigError, parse_decimal
@@ -108,3 +119,23 @@ def test_load_table_then_read_columns(content):
 def test_rows_to_space_and_concept(rows, keys, column, id_column):
     attempt(from_attribute_table, rows, keys, id_column)
     attempt(concept_from_column, rows, column, id_column)
+
+
+ALL_BOUNDS = RegionBounds(Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))
+NO_NEG = RegionBounds(None, Fraction(1, 4), Fraction(1, 2), Fraction(1))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: Interval(Fraction(1), Fraction(0), False, False), PreconditionError),
+    (lambda: check_bounds_ordering(ALL_BOUNDS, False), PreconditionError),
+    (lambda: check_bounds_ordering(NO_NEG, True), PreconditionError),
+    (lambda: coincides_with_pawlak(NO_NEG), PreconditionError),
+    (lambda: is_increasing(builtin("not_small"), Fraction(1, 100)), ExpressionError),
+    (lambda: RoughSetPair(frozenset("a"), frozenset()), PreconditionError),
+], ids=["empty_interval", "ordering_not_increasing", "ordering_bound_absent", "pawlak_bound_absent",
+        "grid_step", "lower_not_in_upper"])
+def test_broken_precondition_raises_a_library_type(call, error):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert type(caught.value) is not ValueError
+    assert type(caught.value) is error
