@@ -58,6 +58,7 @@ from .spaces import (
     ApproximationSpace,
     Concept,
     DataError,
+    Table,
     concept_from_column,
     from_attribute_table,
     load_table,
@@ -88,6 +89,7 @@ __all__ = [
     "Segment",
     "StepExpr",
     "SweepResult",
+    "Table",
     "ThresholdEquivalence",
     "ThresholdError",
     "Thresholds",

@@ -95,23 +95,24 @@ def parse_decimal(raw: str, what: str) -> Fraction:
     return value
 
 
-def parse_concept(rows, concept_spec: str) -> Concept:
+def parse_concept(table, concept_spec: str) -> Concept:
     """``--concept`` is a boolean column name or ``ids:a,b,c``."""
     if concept_spec.startswith("ids:"):
         members = [m for m in concept_spec[4:].split(",") if m]
         if not members:
             raise ConfigError("empty id list in --concept")
         return Concept(frozenset(members), label="concept")
-    return concept_from_column(rows, concept_spec)
+    return concept_from_column(table, concept_spec)
 
 
 def load_inputs(input_path: str, key: str, concept_spec: str):
-    rows = load_table(input_path)
+    """The space and the concept, both read from the columns of one :func:`load_table` read."""
+    table = load_table(input_path)
     key_columns = [c.strip() for c in key.split(",") if c.strip()]
     if not key_columns:
         raise ConfigError("--key needs at least one column name")
-    space = from_attribute_table(rows, key_columns)
-    concept = space.check_concept(parse_concept(rows, concept_spec))
+    space = from_attribute_table(table, key_columns)
+    concept = space.check_concept(parse_concept(table, concept_spec))
     return space, concept
 
 

@@ -61,6 +61,14 @@ class Thresholds(Record):
             )
         self.__dict__.update(alpha=alpha, beta=beta)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """``hash((alpha, beta))``, as Record's, computed once: the kept tables are keyed by thresholds."""
+        return hash((self.alpha, self.beta))
+
     @cached_property
     def _ratios(self) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
         """Alpha's and beta's integer ratios, or None unless both are ints, floats or Fractions."""
@@ -231,16 +239,20 @@ def linguistic_regions(
     thresholds), with ``expr`` itself so that identity is not reused while it
     is kept, and returns it on a repeated call without evaluating ``expr``
     again: so ``expr`` must be a pure function of ``x`` and must not change
-    after its first use.  Equal member sets share one key object, and a new
-    table on a member set already kept takes its ratios from a kept table, so
-    the elements are counted once per member set.  A new table replaces the
-    store whole, so a reader sees one whole dict and takes no lock; of two
-    racing inserts one can be lost, and is built again on a later call.
+    after its first use.  Equal member sets share one key object, found by
+    identity before equality, so a concept kept by its table costs no set
+    comparison; a new table on a member set already kept takes its ratios
+    from a kept table, so the elements are counted once per member set.  A
+    new table replaces the store whole, so a reader sees one whole dict and
+    takes no lock; of two racing inserts one can be lost, and is built again
+    on a later call.
     """
     members, tables = concept.members, space._tables
     seen, kept_members = space._members
     if members is not seen:
-        kept_members = next((key[0] for key in tables if key[0] == members), members)
+        kept_members = next((key[0] for key in tables if key[0] is members), None)
+        if kept_members is None:
+            kept_members = next((key[0] for key in tables if key[0] == members), members)
         space._members = (members, kept_members)
     key = (kept_members, id(expr), thresholds)
     kept = tables.get(key)

@@ -11,18 +11,23 @@ A partition can be given explicitly (a list of blocks) or derived from an
 attribute table: two elements share a block exactly when their key-column
 tuples are equal.  Both paths normalize to the same canonical form, blocks
 ordered by their lexicographically smallest element, each label kept with its
-block.  One column reader takes a table's id column and the requested columns
-as lists, and refuses an empty table or an unknown column in one place.
+block.  :func:`load_table` reads a CSV once into a :class:`Table`, immutable
+and column-major, whose rows are read-only mappings; the table keeps each
+concept read from one of its columns.  One column reader takes the id column
+and the requested columns, straight from a table's columns or from the rows a
+caller passes, and refuses an empty table or an unknown column in one place.
 """
 
 from __future__ import annotations
 
 import csv
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress
-from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import eq, itemgetter
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from .records import Record
 
@@ -159,19 +164,79 @@ class ApproximationSpace:
 Row = Mapping[str, str]
 
 
-def _read_columns(rows: Sequence[Row], id_column: Optional[str], columns: Sequence[str]) -> list[list[str]]:
-    """The id column (``id_column``, else the table's first), then each of ``columns``, as lists.
+class Table(Sequence):
+    """A CSV table read once, held as one tuple of values per column; it never changes.
 
-    The id column is read first, so an unknown one is named before any other.
+    ``header`` names the columns and ``columns`` holds them in header order.
+    As a sequence its items are the rows, each a read-only mapping from column
+    name to value, built on each read and equal to the dict of the same items,
+    so a table equals the list of those dicts.  Setting an attribute raises.
+    As the table cannot change, :func:`concept_from_column` keeps the concept
+    it reads per (column, id column) on it.
+    """
+
+    __slots__ = ("header", "columns", "_concepts")
+
+    def __init__(self, header: Sequence[str], columns: Iterable[Sequence[str]]) -> None:
+        header, columns = tuple(header), tuple(map(tuple, columns))
+        if len(set(header)) != len(header) or len(columns) != len(header) or len(set(map(len, columns))) > 1:
+            raise DataError("a table needs distinct column names and one column per name, all of one length")
+        object.__setattr__(self, "header", header)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "_concepts", {})  # (column, id column) -> the Concept read from it
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]  # IndexError past either end; a range for a slice
+        if isinstance(rows, range):
+            return [self[i] for i in rows]
+        return MappingProxyType(dict(zip(self.header, [column[rows] for column in self.columns])))
+
+    def __iter__(self):
+        header = self.header
+        return (MappingProxyType(dict(zip(header, values))) for values in zip(*self.columns))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None  # equal to a list of dicts, which has no hash
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"Table is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy rebuild the table, as they cannot set its slots
+        return Table, (self.header, self.columns)
+
+    def __repr__(self) -> str:
+        return f"Table({list(self.header)!r}, {len(self)} rows)"
+
+
+def _read_columns(rows: Sequence[Row], id_column: Optional[str], columns: Sequence[str]) -> list[Sequence[str]]:
+    """The id column (``id_column``, else the table's first), then each of ``columns``.
+
+    A :class:`Table` gives its own column tuples; other rows are read a column
+    at a time into lists.  The id column is read first, so an unknown one is
+    named before any other.
     """
     if not rows:
         raise DataError("the table is empty")
-    if id_column is None:
-        if not rows[0]:
-            raise DataError("the table has no columns")
-        id_column = next(iter(rows[0]))
+    if isinstance(rows, Table):
+        read = dict(zip(rows.header, rows.columns)).__getitem__
+        id_column = rows.header[0] if id_column is None else id_column
+    else:
+        if id_column is None:
+            if not rows[0]:
+                raise DataError("the table has no columns")
+            id_column = next(iter(rows[0]))
+        read = lambda column: list(map(itemgetter(column), rows))
     try:
-        return [list(map(itemgetter(column), rows)) for column in (id_column, *columns)]
+        return [read(column) for column in (id_column, *columns)]
     except KeyError as exc:
         raise DataError(f"unknown column {exc.args[0]!r}") from None
 
@@ -210,7 +275,21 @@ _FALSE_WORDS = {"0", "false", "no", "n", ""}
 
 
 def concept_from_column(rows: Sequence[Row], column: str, id_column: Optional[str] = None) -> Concept:
-    """Read a concept from a boolean column of the table."""
+    """Read a concept from a boolean column of the table.
+
+    On a :class:`Table` the concept is kept per (column, id column), and a
+    repeated call returns the kept object; a refused column is not kept, so it
+    is refused again on every call.
+    """
+    if not isinstance(rows, Table):
+        return _read_concept(rows, column, id_column)
+    kept = rows._concepts.get((column, id_column))
+    if kept is None:
+        kept = rows._concepts[column, id_column] = _read_concept(rows, column, id_column)
+    return kept
+
+
+def _read_concept(rows: Sequence[Row], column: str, id_column: Optional[str]) -> Concept:
     elements, values = _read_columns(rows, id_column, [column])
     words = {value: value.strip().lower() for value in set(values)}
     unknown = {value for value, word in words.items() if word not in _TRUE_WORDS and word not in _FALSE_WORDS}
@@ -222,13 +301,14 @@ def concept_from_column(rows: Sequence[Row], column: str, id_column: Optional[st
     return Concept(frozenset(members), label=column)  # copied from a set, its hash table is sized to fit
 
 
-def load_table(path: str) -> list[dict[str, str]]:
-    """Read a CSV table: header row required, first column is the element id.
+def load_table(path: str) -> Table:
+    """Read a CSV table into a :class:`Table`: header row required, first column is the element id.
 
     A leading byte-order mark is dropped and blank lines are skipped; a header
     that names a column twice is refused, and so is a row whose field count
     differs from the header's, a file that is not UTF-8, or one the csv module
-    cannot parse (such as a field over its 131,072-character limit).
+    cannot parse (such as a field over its 131,072-character limit).  The rows
+    are turned into columns once, and no dict is built per row.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
@@ -244,7 +324,7 @@ def load_table(path: str) -> list[dict[str, str]]:
                 if len(fields) != len(header):
                     raise DataError(f"{path} line {reader.line_num} has {len(fields)} fields; "
                                     f"the header has {len(header)}")
-                rows.append(dict(zip(header, fields)))
+                rows.append(fields)
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start]
         raise DataError(f"{path} is not UTF-8 text: it holds the byte 0x{bad:02x}") from None
@@ -252,4 +332,4 @@ def load_table(path: str) -> list[dict[str, str]]:
         raise DataError(f"{path} line {reader.line_num} is not readable CSV: {exc}") from None
     if not rows:
         raise DataError(f"{path} has no data rows")
-    return rows
+    return Table(header, zip(*rows))

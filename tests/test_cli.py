@@ -21,6 +21,7 @@ from threeway import ApproximationSpace
 from threeway import cli as cli_module
 from threeway import equivalence as eq_module
 from threeway import regions as regions_module
+from threeway import spaces as spaces_module
 from threeway.cli import main
 from threeway.expressions import builtin, expression_to_json_dict
 
@@ -482,6 +483,16 @@ class TestStageCalls:
                         "--alpha", "0.8", "--beta", "0.2", *probe)
         assert result.exit_code == 0
         assert calls == expected
+
+    @pytest.mark.parametrize("command", ["regions", "verify"])
+    def test_the_table_is_read_by_its_columns(self, runner, monkeypatch, command):
+        def row(*items):
+            raise AssertionError("a row of the table was built")
+
+        monkeypatch.setattr(spaces_module, "MappingProxyType", row)
+        probe = ["--prob-alpha", "0.3", "--prob-beta", "0.1"] if command == "verify" else []
+        result = invoke(runner, command, *BASE, "--expr", "not_small", "--alpha", "0.8", "--beta", "0.2", *probe)
+        assert result.exit_code == 0, result.stderr
 
     @pytest.mark.parametrize("command", ["regions", "bounds", "equivalence"])
     def test_text_output_builds_no_element_view(self, runner, monkeypatch, command):

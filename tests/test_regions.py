@@ -85,6 +85,12 @@ class TestThresholds:
         with pytest.raises(ThresholdError):
             Thresholds(alpha, beta)
 
+    def test_hash_is_the_fields_hash_and_kept(self):
+        th = Thresholds(Fraction(4, 5), Fraction(1, 5))
+        assert hash(th) == hash((th.alpha, th.beta)) == hash(Thresholds(Fraction("0.8"), Fraction("0.2")))
+        assert hash(Thresholds(1, 0)) == hash(Thresholds(1.0, Fraction(0)))
+        assert vars(th)["_hash"] == hash(th)
+
 
 @st.composite
 def exact_or_float_thresholds(draw):
@@ -341,6 +347,7 @@ class TestKeptTables:
         tp = linguistic_regions(space, sport, expr, self.TH)
         assert linguistic_regions(space, sport, expr, self.TH) is tp
         assert linguistic_regions(space, Concept(frozenset(sport.members)), expr, self.TH) is tp
+        assert linguistic_regions(space, sport, expr, Thresholds(Fraction(4, 5), Fraction(1, 5))) is tp
         [(_, kept)] = space._tables.values()
         assert kept is tp
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import csv
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,12 @@ from threeway import (
     ApproximationSpace,
     Concept,
     DataError,
+    Table,
+    Thresholds,
+    builtin,
     concept_from_column,
     from_attribute_table,
+    linguistic_regions,
     load_table,
     relative_cardinality,
 )
@@ -384,3 +390,70 @@ class TestCsv:
     def test_unknown_id_column_without_members(self):
         with pytest.raises(DataError, match="unknown column 'nope'"):
             concept_from_column([{"id": "a", "flag": "0"}], "flag", "nope")
+
+
+@pytest.fixture
+def table(tmp_path) -> Table:
+    path = tmp_path / "flags.csv"
+    path.write_text("id,g,x,y,z\na,G,1,0,1\nb,G,0,1,maybe\nc,H,1,1,0\n", encoding="utf-8")
+    return load_table(str(path))
+
+
+class TestTable:
+    def test_columns_and_rows(self, table):
+        assert table.header == ("id", "g", "x", "y", "z")
+        assert table.columns[2] == ("1", "0", "1")
+        assert len(table) == 3
+        assert table[-1] == {"id": "c", "g": "H", "x": "1", "y": "1", "z": "0"}
+        assert table[1:] == [dict(row) for row in table][1:]
+        assert table == Table(table.header, table.columns) and table != [dict(row) for row in table][:2]
+        assert pickle.loads(pickle.dumps(table)) == copy.deepcopy(table) == table
+        with pytest.raises(IndexError):
+            table[3]
+
+    def test_a_row_cannot_be_written(self, table):
+        row = table[0]
+        with pytest.raises(TypeError):
+            row["x"] = "0"
+        with pytest.raises(TypeError):
+            del row["x"]
+        assert table[0]["x"] == "1"
+
+    @pytest.mark.parametrize("name", ["header", "columns", "_concepts", "other"])
+    def test_an_attribute_cannot_be_set(self, table, name):
+        with pytest.raises(AttributeError, match="Table is immutable"):
+            setattr(table, name, ())
+        with pytest.raises(AttributeError):
+            delattr(table, name)
+
+    def test_a_table_needs_one_column_per_distinct_name(self):
+        for header, columns in ((("a", "a"), (("1",), ("2",))), (("a",), ()), (("a", "b"), (("1",), ()))):
+            with pytest.raises(DataError, match="a table needs distinct column names"):
+                Table(header, columns)
+
+    def test_a_column_concept_is_kept(self, table):
+        concept = concept_from_column(table, "x")
+        assert concept.members == {"a", "c"}
+        assert concept_from_column(table, "x") is concept
+        assert concept_from_column(table, "x", "id") is concept_from_column(table, "x", "id")
+        assert concept_from_column(table, "y") is not concept
+        assert concept_from_column(table, "x", "g").members == {"G", "H"}
+
+    @pytest.mark.parametrize("column, id_column, message", [
+        ("z", None, "column 'z' is not boolean: 'maybe' for 'b'"),
+        ("nope", None, "unknown column 'nope'"),
+        ("x", "nope", "unknown column 'nope'"),
+    ])
+    def test_a_refused_column_is_refused_on_every_call(self, table, column, id_column, message):
+        for _ in range(2):
+            with pytest.raises(DataError) as refused:
+                concept_from_column(table, column, id_column)
+            assert str(refused.value) == message
+        assert table._concepts == {}
+
+    def test_a_switch_back_reads_the_kept_tripartition(self, table):
+        space = from_attribute_table(table, ["g"])
+        expr, th = builtin("not_small"), Thresholds(0.8, 0.2)
+        first = linguistic_regions(space, concept_from_column(table, "x"), expr, th)
+        linguistic_regions(space, concept_from_column(table, "y"), expr, th)
+        assert linguistic_regions(space, concept_from_column(table, "x"), expr, th) is first
